@@ -1,12 +1,14 @@
 """Clique-cover machinery.
 
-The central object is the CoverTable: values[S] = vcc(G[S]) for every
+The dense object is the CoverTable: values[S] = vcc(G[S]) for every
 vertex subset S, where vcc is the minimum number of disjoint cliques
 covering S (equivalently the chromatic number of the complement graph
 restricted to S).  Two builders produce identical tables on different
 schedules, and an inclusion-exclusion engine counts covers/partitions by
 independent sets, which doubles as a chromatic-number routine with a
-constructive coloring mode.
+constructive coloring mode.  The CoverOracle is the sparse counterpart:
+it solves only the sets a caller asks for, one at a time, and memoizes
+them.
 """
 
 import math
@@ -36,14 +38,12 @@ class CoverTable:
     built without choice data reconstruct partitions lazily from values.
     """
 
-    __slots__ = ("g", "values", "choice", "pmc_marks")
+    __slots__ = ("g", "values", "choice")
 
-    def __init__(self, g: Graph, values: List[int], choice: Optional[List[int]],
-                 pmc_marks: Optional[List[bool]] = None):
+    def __init__(self, g: Graph, values: List[int], choice: Optional[List[int]]):
         self.g = g
         self.values = values
         self.choice = choice
-        self.pmc_marks = pmc_marks
 
     def partition(self, s: int) -> List[int]:
         """Disjoint cliques covering s, exactly values[s] of them."""
@@ -65,13 +65,14 @@ class CoverTable:
                 if values[s & ~dd] == target:
                     picked = dd
                     break
-            assert picked is not None, "cover table inconsistent"
+            if picked is None:
+                raise RuntimeError("cover table inconsistent")
             parts.append(picked)
             s &= ~picked
         return parts
 
 
-def lawler_table(g: Graph, mark_pmcs: bool = False) -> CoverTable:
+def lawler_table(g: Graph) -> CoverTable:
     """vcc(G[S]) for every S by the remove-one-clique recurrence.
 
     values[S] = 1 + min over maximal cliques D of G[S] containing the
@@ -99,12 +100,35 @@ def lawler_table(g: Graph, mark_pmcs: bool = False) -> CoverTable:
                 best, best_d = cand, dd
         values[s] = best + 1
         choice[s] = best_d
-    marks = None
-    if mark_pmcs:
-        from .graph import is_pmc
+    return CoverTable(g, values, choice)
 
-        marks = [is_pmc(g, s) for s in range(size)]
-    return CoverTable(g, values, choice, marks)
+
+class CoverOracle:
+    """vcc and a minimum clique partition of single sets, on request.
+
+    Each set is solved once by vcc and memoized, so the caller pays for
+    the sets it reads and never for a table over all 2^n subsets.
+    """
+
+    __slots__ = ("g", "memo")
+
+    def __init__(self, g: Graph):
+        self.g = g
+        self.memo: Dict[int, Tuple[int, Tuple[int, ...]]] = {}
+
+    def _solve(self, s: int) -> Tuple[int, Tuple[int, ...]]:
+        hit = self.memo.get(s)
+        if hit is None:
+            k, classes = vcc(self.g, s)
+            hit = self.memo[s] = (k, tuple(classes))
+        return hit
+
+    def value(self, s: int) -> int:
+        return self._solve(s)[0]
+
+    def partition(self, s: int) -> Tuple[int, ...]:
+        """Disjoint cliques covering s, exactly value(s) of them."""
+        return self._solve(s)[1]
 
 
 def _complement_rows(g: Graph, s: int) -> Tuple[List[int], List[int]]:

@@ -3,8 +3,8 @@
 A Graph is immutable.  adj[v] is the open neighborhood of v as a mask;
 all set-valued arguments and results are bitmasks (see bitset).  The
 module also hosts the enumeration primitives the solvers share: maximal
-cliques, maximal independent sets, minimal separators, and the potential
-maximal clique test.
+cliques, maximal independent sets, minimal separators, the potential
+maximal clique (PMC) test, and PMC listing from the minimal separators.
 """
 
 from dataclasses import dataclass
@@ -239,6 +239,69 @@ def enumerate_minimal_separators(g: Graph) -> List[int]:
                     seps.add(cand)
                     queue.append(cand)
     return sorted(seps)
+
+
+def enumerate_pmcs(g: Graph) -> List[int]:
+    """All potential maximal cliques of a connected graph, sorted.
+
+    Bouchitte-Todinca one-more-vertex listing ("Listing all potential
+    maximal cliques of a graph", TCS 2002).  Vertices are added in BFS
+    order, so every prefix graph G_i is connected.  With a the vertex
+    that G_{i+1} adds, every PMC of G_{i+1} is one of: Omega' + a or
+    Omega' for a PMC Omega' of G_i; S + a for S in Delta(G_{i+1}); or,
+    when a is not in S and S is not in Delta(G_i), S + (T & C) for T in
+    Delta(G_{i+1}) and C a component of G_{i+1} - S.  Each candidate is
+    checked with is_pmc, so the work follows the number of minimal
+    separators and PMCs instead of 2^n.
+    """
+    n = g.n
+    if n == 0:
+        return []
+    if not g.is_connected():
+        raise ValueError("PMC listing requires a connected graph")
+    order = [0]
+    seen = 1
+    for v in order:
+        for w in bits(g.adj[v] & ~seen):
+            seen |= 1 << w
+            order.append(w)
+    pos = {v: i for i, v in enumerate(order)}
+    # h is g relabeled so that the prefix graph G_i has vertices 0..i-1
+    h_adj = [mask_of(pos[w] for w in bits(g.adj[v])) for v in order]
+
+    pmcs = {1}
+    prev_seps = set()
+    for i in range(1, n):
+        low = (1 << (i + 1)) - 1
+        gi = Graph(i + 1, [a & low for a in h_adj[:i + 1]])
+        a = 1 << i
+        seps = enumerate_minimal_separators(gi)
+        tested = {}
+
+        def pmc(omega: int) -> bool:
+            hit = tested.get(omega)
+            if hit is None:
+                hit = tested[omega] = is_pmc(gi, omega)
+            return hit
+
+        found = set()
+        for om in pmcs:
+            if pmc(om | a):
+                found.add(om | a)
+            elif pmc(om):
+                found.add(om)
+        for s in seps:
+            if pmc(s | a):
+                found.add(s | a)
+            if s & a or s in prev_seps:
+                continue
+            comps = gi.components_within(gi.full & ~s)
+            for t in seps:
+                for c in comps:
+                    if pmc(s | (t & c)):
+                        found.add(s | (t & c))
+        pmcs, prev_seps = found, set(seps)
+    return sorted(expand_mask(p, order) for p in pmcs)
 
 
 def is_pmc(g: Graph, omega: int) -> bool:

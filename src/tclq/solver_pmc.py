@@ -17,23 +17,20 @@ The graph's value minimizes over inclusion-minimal separators S: the
 root bag S costs vcc(S), each full component contributes its block
 value, and each non-full component C contributes the value of the full
 block (N(C), C).
+
+Nothing here is indexed by all 2^n subsets.  The PMCs come from
+graph.enumerate_pmcs, which builds them from the minimal separators, and
+every vcc value and bag partition comes from one memoized CoverOracle,
+which solves only the PMCs, separators and bags the recurrence reads.
 """
 
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from .bitset import bits
-from .cover import CoverTable, lawler_table
+from .cover import CoverOracle, _check_cap
 from .decomposition import (AugmentedTreeDecomposition, combine_forest,
                             relabel, sanitize)
-from .graph import Graph, enumerate_minimal_separators
-
-
-@dataclass
-class Block:
-    s: int
-    c: int
-    full: bool
+from .graph import Graph, enumerate_minimal_separators, enumerate_pmcs
 
 
 @dataclass
@@ -43,86 +40,92 @@ class PmcCatalog:
     separators: List[int]
     sep_vcc: Dict[int, int]
     inclusion_minimal: List[int]
-    table: CoverTable = field(repr=False, default=None)
+    cover: CoverOracle = field(repr=False, default=None)
 
 
-def build_catalog(g: Graph) -> Tuple[PmcCatalog, CoverTable]:
-    """All PMCs (subset sweep), all minimal separators, their vcc values
-    from one shared cover table, and the inclusion-minimal separators."""
-    table = lawler_table(g, mark_pmcs=True)
-    pmcs = [s for s in range(1 << g.n) if table.pmc_marks[s]]
+def build_catalog(g: Graph) -> Tuple[PmcCatalog, CoverOracle]:
+    """All PMCs of connected G (listed from its minimal separators), all
+    minimal separators, their vcc values from one shared cover oracle,
+    and the inclusion-minimal separators."""
+    _check_cap(g)
+    cover = CoverOracle(g)
+    pmcs = enumerate_pmcs(g)
     seps = enumerate_minimal_separators(g)
     sep_set = set(seps)
     incl_min = [s for s in seps if not any(t != s and t & ~s == 0 for t in sep_set)]
     catalog = PmcCatalog(
         pmcs=pmcs,
-        pmc_vcc={p: table.values[p] for p in pmcs},
+        pmc_vcc={p: cover.value(p) for p in pmcs},
         separators=seps,
-        sep_vcc={s: table.values[s] for s in seps},
+        sep_vcc={s: cover.value(s) for s in seps},
         inclusion_minimal=incl_min,
-        table=table,
+        cover=cover,
     )
-    return catalog, table
+    return catalog, cover
 
 
-def _single_bag(g: Graph, table: CoverTable) -> AugmentedTreeDecomposition:
+def _single_bag(g: Graph, cover: CoverOracle) -> AugmentedTreeDecomposition:
     return AugmentedTreeDecomposition(
-        (-1,), (g.full,), (tuple(sorted(table.partition(g.full))),))
+        (-1,), (g.full,), (tuple(sorted(cover.partition(g.full))),))
 
 
 def tcl_via_pmc(g: Graph, catalog: PmcCatalog) -> Tuple[int, AugmentedTreeDecomposition]:
     """Exact tcl with witness for connected G via the block recurrence."""
     if not g.is_connected():
         raise ValueError("block recurrence requires a connected graph")
-    table = catalog.table
-    values = table.values
+    cover = catalog.cover
     if g.n == 0:
         return 0, AugmentedTreeDecomposition((-1,), (0,), ((),))
     if not catalog.separators:
         # no separator means the graph is complete: one bag, one clique
-        return values[g.full], _single_bag(g, table)
+        return cover.value(g.full), _single_bag(g, cover)
 
-    blocks: List[Block] = []
+    # full blocks (S, C), by part size
+    blocks: List[Tuple[int, int]] = []
     for s in catalog.separators:
         info = g.components_of_removal(s)
         for c, isfull in zip(info.components, info.full):
             if isfull:
-                blocks.append(Block(s, c, True))
-    blocks.sort(key=lambda b: ((b.s | b.c).bit_count(), b.s | b.c, b.s))
+                blocks.append((s, c))
+    blocks.sort(key=lambda b: ((b[0] | b[1]).bit_count(), b[0] | b[1], b[0]))
 
     val: Dict[Tuple[int, int], int] = {}
     pick: Dict[Tuple[int, int], Optional[int]] = {}
     for blk in blocks:
-        part = blk.s | blk.c
+        sep, comp = blk
+        part = sep | comp
         best: Optional[int] = None
         best_omega: Optional[int] = None
         for omega in catalog.pmcs:
             # admissibility: S proper subset of Omega, Omega inside the part
-            if omega & ~part or blk.s & ~omega or omega == blk.s:
+            if omega & ~part or sep & ~omega or omega == sep:
                 continue
             cost = catalog.pmc_vcc[omega]
             for d in g.components_within(part & ~omega):
                 nd = g.neighbors(d)
                 sub = (nd, d)
-                assert (nd | d).bit_count() < part.bit_count(), "sub-block must shrink"
-                assert sub in val, "sub-block value missing from the schedule"
+                if (nd | d).bit_count() >= part.bit_count():
+                    raise RuntimeError("sub-block must shrink")
+                if sub not in val:
+                    raise RuntimeError("sub-block value missing from the schedule")
                 cost = max(cost, val[sub])
             if best is None or cost < best:
                 best, best_omega = cost, omega
         if best is None:
             # inclusion-minimal block: single realization bag
-            best, best_omega = values[part], None
-        val[(blk.s, blk.c)] = best
-        pick[(blk.s, blk.c)] = best_omega
+            best, best_omega = cover.value(part), None
+        val[blk] = best
+        pick[blk] = best_omega
 
     best_total: Optional[int] = None
     best_sep: Optional[int] = None
     for s in catalog.inclusion_minimal:
-        total = values[s]
+        total = catalog.sep_vcc[s]
         info = g.components_of_removal(s)
         for c, isfull in zip(info.components, info.full):
             sub = (s, c) if isfull else (g.neighbors(c), c)
-            assert sub in val, "component block value missing"
+            if sub not in val:
+                raise RuntimeError("component block value missing")
             total = max(total, val[sub])
         if best_total is None or total < best_total:
             best_total, best_sep = total, s
@@ -134,14 +137,14 @@ def tcl_via_pmc(g: Graph, catalog: PmcCatalog) -> Tuple[int, AugmentedTreeDecomp
         idx = len(parents)
         parents.append(parent)
         bags.append(bag)
-        covers.append(tuple(sorted(table.partition(bag))))
+        covers.append(tuple(sorted(cover.partition(bag))))
         if omega is not None:
             for d in g.components_within(part & ~omega):
                 block_witness(g.neighbors(d), d, parents, bags, covers, idx)
 
     parents: List[int] = [-1]
     bags: List[int] = [best_sep]
-    covers: List[Tuple[int, ...]] = [tuple(sorted(table.partition(best_sep)))]
+    covers: List[Tuple[int, ...]] = [tuple(sorted(cover.partition(best_sep)))]
     info = g.components_of_removal(best_sep)
     for c, isfull in zip(info.components, info.full):
         sep = best_sep if isfull else g.neighbors(c)

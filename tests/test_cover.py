@@ -8,6 +8,7 @@ import pytest
 from tclq.bitset import bits, mask_of
 from tclq.cover import (
     CapacityError,
+    CoverOracle,
     fast_table,
     ie_chromatic_with_construction,
     ie_count_covers,
@@ -16,7 +17,7 @@ from tclq.cover import (
     lawler_table,
     vcc,
 )
-from tclq.graph import Graph, enumerate_maximal_independent_sets, is_pmc
+from tclq.graph import Graph, enumerate_maximal_independent_sets
 from tclq.oracle import brute_chromatic
 
 from corpus import connected_graphs, graphs_up_to
@@ -90,13 +91,6 @@ class TestLawlerTable:
                 sub, _ = co.induced_subgraph(s)
                 assert t.values[s] == brute_chromatic(sub)
 
-    def test_pmc_marks(self, connected_to_6):
-        for g in connected_to_6:
-            t = lawler_table(g, mark_pmcs=True)
-            for s in range(1, 1 << g.n):
-                assert t.pmc_marks[s] == is_pmc(g, s)
-            assert not t.pmc_marks[0]
-
     def test_capacity(self):
         with pytest.raises(CapacityError):
             lawler_table(Graph.from_edges(65, []))
@@ -156,6 +150,22 @@ class TestPartitionReconstruction:
             assert t.choice is None
             for s in [g.full, rng.randrange(1 << g.n)]:
                 self.check_partition(g, s, t.partition(s), t.values[s])
+
+    def test_inconsistent_values_raise(self):
+        t = fast_table(cycle(5))
+        t.values[(1 << 5) - 1] = 2  # the true cover number is 3
+        with pytest.raises(RuntimeError, match="cover table inconsistent"):
+            t.partition((1 << 5) - 1)
+
+    def test_oracle_matches_table(self, graphs_to_6):
+        rng = random.Random(61)
+        for g in graphs_to_6:
+            t = lawler_table(g)
+            oracle = CoverOracle(g)
+            for s in [g.full, rng.randrange(1 << g.n), g.full]:
+                assert oracle.value(s) == t.values[s]
+                self.check_partition(g, s, oracle.partition(s), t.values[s])
+            assert len(oracle.memo) <= 2
 
 
 class TestCountCovers:

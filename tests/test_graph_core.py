@@ -9,9 +9,11 @@ from tclq.graph import (
     Graph,
     enumerate_maximal_independent_sets,
     enumerate_minimal_separators,
+    enumerate_pmcs,
     is_pmc,
     maximal_cliques_within,
 )
+from tclq.generators import gen_random
 from tclq.oracle import OracleBudget, brute_pmcs
 
 from corpus import all_graphs, connected_graphs, graphs_up_to
@@ -286,6 +288,33 @@ class TestIsPmc:
                 info = g.components_of_removal(c)
                 if all(not f for f in info.full):
                     assert is_pmc(g, c)
+
+
+def pmc_sweep(g: Graph):
+    return [s for s in range(1, 1 << g.n) if is_pmc(g, s)]
+
+
+class TestEnumeratePmcs:
+    def test_trivial(self):
+        assert enumerate_pmcs(Graph.from_edges(0, [])) == []
+        assert enumerate_pmcs(Graph.from_edges(1, [])) == [1]
+
+    def test_disconnected_rejected(self):
+        with pytest.raises(ValueError):
+            enumerate_pmcs(Graph.from_edges(4, [(0, 1), (2, 3)]))
+
+    def test_matches_sweep_connected_to_7(self):
+        for n in range(1, 8):
+            for g in connected_graphs(n):
+                assert enumerate_pmcs(g) == pmc_sweep(g), g
+
+    @pytest.mark.parametrize("n", [8, 9, 10, 11])
+    def test_matches_sweep_seeded_random(self, n):
+        rng = random.Random(f"pmc-listing:{n}")
+        for p in (0.15, 0.3, 0.5, 0.7, 0.85):
+            for _ in range(10):
+                g = gen_random(rng, n, p, connected=True)
+                assert enumerate_pmcs(g) == pmc_sweep(g), g
 
 
 class TestMaximalCliques:

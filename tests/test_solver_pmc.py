@@ -1,12 +1,16 @@
 """Block-and-PMC dynamic program and its catalog."""
 
 import random
+import sys
 
 import pytest
 
+from tclq import cover, io
 from tclq.bitset import mask_of
+from tclq.cli import main
 from tclq.cover import CapacityError
 from tclq.decomposition import validate, width
+from tclq.generators import gen_random
 from tclq.graph import Graph, is_pmc
 from tclq.oracle import tcl_oracle
 from tclq.solver_dp import compute_tcl as dp_tcl
@@ -115,3 +119,43 @@ class TestComputeTcl:
         k, d = compute_tcl(g)
         assert k == 1
         assert validate(g, d).ok
+
+
+class TestDefaultRouteBuildsNoSubsetTable:
+    @staticmethod
+    def forbid_subset_tables(monkeypatch):
+        """Make both subset-table builders fail at every tclq binding."""
+        builders = (cover.lawler_table, cover.fast_table)
+
+        def refuse(*args, **kwargs):
+            pytest.fail("the default solve route built a subset table")
+
+        for name, module in list(sys.modules.items()):
+            if module is None or not (name == "tclq" or name.startswith("tclq.")):
+                continue
+            for attr, value in list(vars(module).items()):
+                if any(value is b for b in builders):
+                    monkeypatch.setattr(module, attr, refuse)
+
+    def solve(self, g, tmp_path, capsys):
+        col = tmp_path / "g.col"
+        col.write_text(io.serialize_graph(g))
+        out = tmp_path / "d.tcd"
+        assert main(["solve", "--input", str(col), "--out", str(out)]) == 0
+        k = int(capsys.readouterr().out.split()[1])
+        d, n = io.parse_decomposition(out.read_text())
+        assert n == g.n and validate(g, d).ok and width(d) == k
+        return k
+
+    def test_n20(self, monkeypatch, tmp_path, capsys):
+        g = gen_random(random.Random("no-subset-table:20"), 20, 0.25, connected=True)
+        self.forbid_subset_tables(monkeypatch)
+        self.solve(g, tmp_path, capsys)
+
+    @pytest.mark.parametrize("n", [12, 13, 14])
+    def test_matches_dp(self, n, monkeypatch, tmp_path, capsys):
+        rng = random.Random(f"no-subset-table:{n}")
+        graphs = [gen_random(rng, n, p, connected=True) for p in (0.2, 0.4, 0.7)]
+        want = [dp_tcl(g)[0] for g in graphs]
+        self.forbid_subset_tables(monkeypatch)
+        assert [self.solve(g, tmp_path, capsys) for g in graphs] == want
