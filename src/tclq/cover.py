@@ -45,6 +45,9 @@ class CoverTable:
         self.values = values
         self.choice = choice
 
+    def value(self, s: int) -> int:
+        return self.values[s]
+
     def partition(self, s: int) -> List[int]:
         """Disjoint cliques covering s, exactly values[s] of them."""
         parts = []

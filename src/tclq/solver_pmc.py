@@ -18,19 +18,29 @@ root bag S costs vcc(S), each full component contributes its block
 value, and each non-full component C contributes the value of the full
 block (N(C), C).
 
-Nothing here is indexed by all 2^n subsets.  The PMCs come from
-graph.enumerate_pmcs, which builds them from the minimal separators, and
-every vcc value and bag partition comes from one memoized CoverOracle,
-which solves only the PMCs, separators and bags the recurrence reads.
+From DENSE_MAX_N + 1 vertices on, nothing here is indexed by all 2^n
+subsets.  The PMCs come from graph.enumerate_pmcs, which builds them
+from the minimal separators, and every vcc value and bag partition comes
+from one memoized CoverOracle, which solves only the PMCs, separators
+and bags the recurrence reads.  Up to DENSE_MAX_N vertices a Lawler
+table and an is_pmc sweep over all subsets cost no more than the
+listing, and the catalog is built that way.
 """
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
-from .cover import CoverOracle, _check_cap
+from .cover import CoverOracle, CoverTable, _check_cap, lawler_table
 from .decomposition import (AugmentedTreeDecomposition, combine_forest,
                             relabel, sanitize)
-from .graph import Graph, enumerate_minimal_separators, enumerate_pmcs
+from .graph import Graph, enumerate_minimal_separators, enumerate_pmcs, is_pmc
+
+# Largest n whose catalog comes from the dense table and subset sweep.
+# Measured per connected random graph on one core: dense/listing time is
+# 0.44-0.81 for n = 2..4, 1.04 at n = 5 and 1.34 at n = 6.
+DENSE_MAX_N = 5
+
+Cover = Union[CoverOracle, CoverTable]
 
 
 @dataclass
@@ -40,16 +50,23 @@ class PmcCatalog:
     separators: List[int]
     sep_vcc: Dict[int, int]
     inclusion_minimal: List[int]
-    cover: CoverOracle = field(repr=False, default=None)
+    cover: Cover = field(repr=False, default=None)
 
 
-def build_catalog(g: Graph) -> Tuple[PmcCatalog, CoverOracle]:
-    """All PMCs of connected G (listed from its minimal separators), all
-    minimal separators, their vcc values from one shared cover oracle,
-    and the inclusion-minimal separators."""
+def build_catalog(g: Graph) -> Tuple[PmcCatalog, Cover]:
+    """All PMCs of connected G, all minimal separators, their vcc values
+    from one shared cover source, and the inclusion-minimal separators.
+
+    Up to DENSE_MAX_N vertices the PMCs come from an is_pmc sweep and the
+    values from a Lawler table; above it the PMCs are listed from the
+    minimal separators and the values come from a lazy oracle."""
     _check_cap(g)
-    cover = CoverOracle(g)
-    pmcs = enumerate_pmcs(g)
+    if g.n <= DENSE_MAX_N:
+        cover: Cover = lawler_table(g)
+        pmcs = [s for s in range(1 << g.n) if is_pmc(g, s)]
+    else:
+        cover = CoverOracle(g)
+        pmcs = enumerate_pmcs(g)
     seps = enumerate_minimal_separators(g)
     sep_set = set(seps)
     incl_min = [s for s in seps if not any(t != s and t & ~s == 0 for t in sep_set)]
@@ -64,7 +81,7 @@ def build_catalog(g: Graph) -> Tuple[PmcCatalog, CoverOracle]:
     return catalog, cover
 
 
-def _single_bag(g: Graph, cover: CoverOracle) -> AugmentedTreeDecomposition:
+def _single_bag(g: Graph, cover: Cover) -> AugmentedTreeDecomposition:
     return AugmentedTreeDecomposition(
         (-1,), (g.full,), (tuple(sorted(cover.partition(g.full))),))
 
