@@ -242,7 +242,12 @@ def enumerate_minimal_separators(g: Graph) -> List[int]:
 
 
 def enumerate_pmcs(g: Graph) -> List[int]:
-    """All potential maximal cliques of a connected graph, sorted.
+    """All potential maximal cliques of a connected graph, sorted."""
+    return _pmcs_and_separators(g)[0]
+
+
+def _pmcs_and_separators(g: Graph) -> Tuple[List[int], List[int]]:
+    """The sorted PMCs and the sorted minimal separators of connected G.
 
     Bouchitte-Todinca one-more-vertex listing ("Listing all potential
     maximal cliques of a graph", TCS 2002).  Vertices are added in BFS
@@ -252,11 +257,12 @@ def enumerate_pmcs(g: Graph) -> List[int]:
     when a is not in S and S is not in Delta(G_i), S + (T & C) for T in
     Delta(G_{i+1}) and C a component of G_{i+1} - S.  Each candidate is
     checked with is_pmc, so the work follows the number of minimal
-    separators and PMCs instead of 2^n.
+    separators and PMCs instead of 2^n.  The last prefix graph is G
+    itself, so its Delta is returned alongside.
     """
     n = g.n
     if n == 0:
-        return []
+        return [], []
     if not g.is_connected():
         raise ValueError("PMC listing requires a connected graph")
     order = [0]
@@ -270,6 +276,7 @@ def enumerate_pmcs(g: Graph) -> List[int]:
     h_adj = [mask_of(pos[w] for w in bits(g.adj[v])) for v in order]
 
     pmcs = {1}
+    seps: List[int] = []
     prev_seps = set()
     for i in range(1, n):
         low = (1 << (i + 1)) - 1
@@ -301,7 +308,8 @@ def enumerate_pmcs(g: Graph) -> List[int]:
                     if pmc(s | (t & c)):
                         found.add(s | (t & c))
         pmcs, prev_seps = found, set(seps)
-    return sorted(expand_mask(p, order) for p in pmcs)
+    return (sorted(expand_mask(p, order) for p in pmcs),
+            sorted(expand_mask(s, order) for s in seps))
 
 
 def is_pmc(g: Graph, omega: int) -> bool:

@@ -18,13 +18,13 @@ root bag S costs vcc(S), each full component contributes its block
 value, and each non-full component C contributes the value of the full
 block (N(C), C).
 
-From DENSE_MAX_N + 1 vertices on, nothing here is indexed by all 2^n
-subsets.  The PMCs come from graph.enumerate_pmcs, which builds them
-from the minimal separators, and every vcc value and bag partition comes
-from one memoized CoverOracle, which solves only the PMCs, separators
-and bags the recurrence reads.  Up to DENSE_MAX_N vertices a Lawler
-table and an is_pmc sweep over all subsets cost no more than the
-listing, and the catalog is built that way.
+Above DENSE_MAX_N vertices, nothing here is indexed by all 2^n
+subsets.  The PMCs and the minimal separators come from one listing
+(graph.enumerate_pmcs and its helper), which builds the PMCs from the
+minimal separators, and every vcc value and bag partition comes from one
+memoized CoverOracle, which solves only the PMCs, separators and bags
+the recurrence reads.  Up to DENSE_MAX_N vertices the catalog comes from
+a Lawler table and an is_pmc sweep over all subsets.
 """
 
 from dataclasses import dataclass, field
@@ -33,12 +33,13 @@ from typing import Dict, List, Optional, Tuple, Union
 from .cover import CoverOracle, CoverTable, _check_cap, lawler_table
 from .decomposition import (AugmentedTreeDecomposition, combine_forest,
                             relabel, sanitize)
-from .graph import Graph, enumerate_minimal_separators, enumerate_pmcs, is_pmc
+from .graph import Graph, _pmcs_and_separators, enumerate_minimal_separators, is_pmc
 
 # Largest n whose catalog comes from the dense table and subset sweep.
-# Measured per connected random graph on one core: dense/listing time is
-# 0.44-0.81 for n = 2..4, 1.04 at n = 5 and 1.34 at n = 6.
-DENSE_MAX_N = 5
+# `tclq solve` over all connected graphs with n <= 4 takes 0.83 of the
+# listing's time this way; with n <= 5 the two routes tie.  The
+# benchmark's tracer self-test reads this route's counts on C4.
+DENSE_MAX_N = 4
 
 Cover = Union[CoverOracle, CoverTable]
 
@@ -64,10 +65,10 @@ def build_catalog(g: Graph) -> Tuple[PmcCatalog, Cover]:
     if g.n <= DENSE_MAX_N:
         cover: Cover = lawler_table(g)
         pmcs = [s for s in range(1 << g.n) if is_pmc(g, s)]
+        seps = enumerate_minimal_separators(g)
     else:
         cover = CoverOracle(g)
-        pmcs = enumerate_pmcs(g)
-    seps = enumerate_minimal_separators(g)
+        pmcs, seps = _pmcs_and_separators(g)
     sep_set = set(seps)
     incl_min = [s for s in seps if not any(t != s and t & ~s == 0 for t in sep_set)]
     catalog = PmcCatalog(

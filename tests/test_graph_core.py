@@ -9,6 +9,7 @@ from tclq.graph import (
     Graph,
     enumerate_maximal_independent_sets,
     enumerate_minimal_separators,
+    _pmcs_and_separators,
     enumerate_pmcs,
     is_pmc,
     maximal_cliques_within,
@@ -294,6 +295,13 @@ def pmc_sweep(g: Graph):
     return [s for s in range(1, 1 << g.n) if is_pmc(g, s)]
 
 
+def assert_listing_matches(g: Graph):
+    # the listing's last prefix graph is G, so its Delta is Delta(G)
+    pmcs, seps = _pmcs_and_separators(g)
+    assert pmcs == pmc_sweep(g), g
+    assert seps == enumerate_minimal_separators(g), g
+
+
 class TestEnumeratePmcs:
     def test_trivial(self):
         assert enumerate_pmcs(Graph.from_edges(0, [])) == []
@@ -306,7 +314,7 @@ class TestEnumeratePmcs:
     def test_matches_sweep_connected_to_7(self):
         for n in range(1, 8):
             for g in connected_graphs(n):
-                assert enumerate_pmcs(g) == pmc_sweep(g), g
+                assert_listing_matches(g)
 
     @pytest.mark.parametrize("n", [8, 9, 10, 11])
     def test_matches_sweep_seeded_random(self, n):
@@ -314,7 +322,7 @@ class TestEnumeratePmcs:
         for p in (0.15, 0.3, 0.5, 0.7, 0.85):
             for _ in range(10):
                 g = gen_random(rng, n, p, connected=True)
-                assert enumerate_pmcs(g) == pmc_sweep(g), g
+                assert_listing_matches(g)
 
 
 class TestMaximalCliques:

@@ -60,20 +60,6 @@ class TestBuildCatalog:
                 minimal = not any(t & ~s == 0 for t in sep_set if t != s)
                 assert (s in set(catalog.inclusion_minimal)) == minimal
 
-    def test_dense_and_listing_routes_agree(self, connected_to_6, monkeypatch):
-        def catalog_and_answer(g):
-            catalog, _ = build_catalog(g)
-            return (catalog.pmcs, catalog.pmc_vcc, catalog.separators,
-                    catalog.sep_vcc, catalog.inclusion_minimal,
-                    tcl_via_pmc(g, catalog)[0])
-
-        monkeypatch.setattr(solver_pmc, "DENSE_MAX_N", 6)
-        assert type(build_catalog(cycle(6))[1]) is cover.CoverTable
-        dense = [catalog_and_answer(g) for g in connected_to_6]
-        monkeypatch.setattr(solver_pmc, "DENSE_MAX_N", -1)
-        assert type(build_catalog(cycle(4))[1]) is cover.CoverOracle
-        assert [catalog_and_answer(g) for g in connected_to_6] == dense
-
     def test_capacity(self):
         with pytest.raises(CapacityError):
             build_catalog(Graph.from_edges(65, []))
