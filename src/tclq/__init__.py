@@ -1,8 +1,9 @@
 """Exact tree-clique width toolkit for small graphs.
 
 tcl(G) is the minimum, over tree decompositions of G, of the largest
-number of cliques needed to cover a bag.  The package provides clique
-cover subset tables, two exponential-time exact solvers, linear-time
+number of cliques needed to cover a bag.  The package provides a clique
+cover subset table and a lazy cover oracle, two exponential-time exact
+solvers, linear-time
 solvers for cographs and permutation graphs, inclusion-exclusion
 counting with constructive coloring, a decomposition verifier and
 sanitizer, and a brute-force oracle for cross-validation.
@@ -11,7 +12,6 @@ sanitizer, and a brute-force oracle for cross-validation.
 from .cover import (
     CapacityError,
     CoverTable,
-    fast_table,
     ie_chromatic_with_construction,
     ie_count_covers,
     ie_count_partitions,
@@ -48,7 +48,6 @@ __all__ = [
     "build_catalog",
     "enumerate_maximal_independent_sets",
     "enumerate_minimal_separators",
-    "fast_table",
     "ie_chromatic_with_construction",
     "ie_count_covers",
     "ie_count_partitions",

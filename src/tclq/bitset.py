@@ -34,10 +34,6 @@ def lowest_bit(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
-def is_subset(a: int, b: int) -> bool:
-    return a & ~b == 0
-
-
 def submasks(mask: int) -> Iterator[int]:
     """All submasks of mask, descending, including mask itself and 0."""
     s = mask
@@ -46,7 +42,3 @@ def submasks(mask: int) -> Iterator[int]:
         if s == 0:
             return
         s = (s - 1) & mask
-
-
-def popcount(mask: int) -> int:
-    return mask.bit_count()

@@ -11,7 +11,7 @@ from typing import Optional
 
 from . import cograph, generators, io, permutation, solver_dp, solver_pmc
 from .bitset import bits
-from .cover import CapacityError, fast_table, ie_chromatic_with_construction, lawler_table
+from .cover import CapacityError, ie_chromatic_with_construction, lawler_table
 from .decomposition import validate, width
 from .oracle import BudgetExceededError, OracleBudget, tcl_oracle
 
@@ -99,7 +99,7 @@ def _cover(args) -> int:
             classes[color] |= 1 << v
         parts = sorted(classes)
     else:
-        table = lawler_table(g) if args.method == "lawler" else fast_table(g)
+        table = lawler_table(g)
         k = table.values[g.full]
         parts = table.partition(g.full)
     print(f"vcc {k}")
@@ -158,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cover", help="minimum clique cover of the vertex set")
     p.add_argument("--input", required=True)
-    p.add_argument("--method", choices=["lawler", "fast", "ie"], default="lawler")
+    p.add_argument("--method", choices=["lawler", "ie"], default="lawler")
     p.set_defaults(func=_cover)
 
     p = sub.add_parser("verify", help="validate a decomposition against a graph")

@@ -3,23 +3,20 @@
 The dense object is the CoverTable: values[S] = vcc(G[S]) for every
 vertex subset S, where vcc is the minimum number of disjoint cliques
 covering S (equivalently the chromatic number of the complement graph
-restricted to S).  Two builders produce identical tables on different
-schedules, and an inclusion-exclusion engine counts covers/partitions by
-independent sets, which doubles as a chromatic-number routine with a
-constructive coloring mode.  The CoverOracle is the sparse counterpart:
-it solves only the sets a caller asks for, one at a time, and memoizes
-them.
+restricted to S).  The Lawler recurrence builds it, and an
+inclusion-exclusion engine counts covers/partitions by independent sets,
+which doubles as a chromatic-number routine with a constructive coloring
+mode.  The CoverOracle is the sparse counterpart: it solves only the
+sets a caller asks for, one at a time, and memoizes them.
 """
 
 import math
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .bitset import bit_list, bits, lowest_bit
 from .graph import Graph, enumerate_maximal_independent_sets, maximal_cliques_within
 
 CAP = 64
-INF = float("inf")
 
 
 class CapacityError(Exception):
@@ -34,13 +31,12 @@ def _check_cap(g: Graph) -> None:
 class CoverTable:
     """Dense subset table of clique cover numbers with reconstruction.
 
-    choice[S], when present, is the clique removed at S's optimum; tables
-    built without choice data reconstruct partitions lazily from values.
+    choice[S] is the clique removed at S's optimum.
     """
 
     __slots__ = ("g", "values", "choice")
 
-    def __init__(self, g: Graph, values: List[int], choice: Optional[List[int]]):
+    def __init__(self, g: Graph, values: List[int], choice: List[int]):
         self.g = g
         self.values = values
         self.choice = choice
@@ -51,27 +47,10 @@ class CoverTable:
     def partition(self, s: int) -> List[int]:
         """Disjoint cliques covering s, exactly values[s] of them."""
         parts = []
-        if self.choice is not None:
-            while s:
-                d = self.choice[s]
-                parts.append(d)
-                s &= ~d
-            return parts
-        g, values = self.g, self.values
         while s:
-            v = lowest_bit(s)
-            vbit = 1 << v
-            target = values[s] - 1
-            picked = None
-            for d in maximal_cliques_within(g, s & g.adj[v]):
-                dd = d | vbit
-                if values[s & ~dd] == target:
-                    picked = dd
-                    break
-            if picked is None:
-                raise RuntimeError("cover table inconsistent")
-            parts.append(picked)
-            s &= ~picked
+            d = self.choice[s]
+            parts.append(d)
+            s &= ~d
         return parts
 
 
@@ -134,132 +113,6 @@ class CoverOracle:
         return self._solve(s)[1]
 
 
-def _complement_rows(g: Graph, s: int) -> Tuple[List[int], List[int]]:
-    """Adjacency of complement(G)[s] relabeled to 0..|s|-1."""
-    verts = bit_list(s)
-    pos = {v: i for i, v in enumerate(verts)}
-    rows = [0] * len(verts)
-    for i, v in enumerate(verts):
-        for w in bits(s & ~(g.adj[v] | (1 << v))):
-            rows[i] |= 1 << pos[w]
-    return rows, verts
-
-def _bipartite(rows: List[int], m: int) -> bool:
-    seen = 0
-    side = [0] * m
-    for r in range(m):
-        if seen >> r & 1:
-            continue
-        seen |= 1 << r
-        queue = [r]
-        while queue:
-            v = queue.pop()
-            for w in bits(rows[v]):
-                if seen >> w & 1:
-                    if side[w] == side[v]:
-                        return False
-                else:
-                    seen |= 1 << w
-                    side[w] = side[v] ^ 1
-                    queue.append(w)
-    return True
-
-
-def _k_colorable(rows: List[int], m: int, k: int) -> bool:
-    colors = [0] * m
-
-    def bt(i: int, used: int) -> bool:
-        if i == m:
-            return True
-        taken = 0
-        for w in bits(rows[i] & ((1 << i) - 1)):
-            taken |= 1 << colors[w]
-        cap = used + 1 if used < k else k
-        for c in range(cap):
-            if taken >> c & 1:
-                continue
-            colors[i] = c
-            if bt(i + 1, max(used, c + 1)):
-                return True
-        return False
-
-    return bt(0, 0)
-
-
-def fast_table(g: Graph) -> CoverTable:
-    """Same values as lawler_table on a three-pass schedule.
-
-    Pass 1 settles every subset with cover number at most 3 exactly
-    (clique test, complement bipartiteness, exact complement
-    3-coloring).  Pass 2 settles the 4s: each 3-subset extended by a
-    maximal clique of the remainder is coverable by 4, and cover numbers
-    are monotone under taking subsets, so a downward closure over the
-    subset lattice flags exactly the sets with cover number at most 4.
-    Pass 3 resolves the rest (values 5 and up) with the plain
-    remove-one-clique pull; by then every strict subset is final.
-
-    No choice data is recorded; partitions reconstruct lazily.
-    """
-    _check_cap(g)
-    n = g.n
-    size = 1 << n
-    values: List = [INF] * size
-    values[0] = 0
-    threes = []
-    for s in range(1, size):
-        if g.is_clique(s):
-            values[s] = 1
-            continue
-        rows, _ = _complement_rows(g, s)
-        m = len(rows)
-        if _bipartite(rows, m):
-            values[s] = 2
-        elif _k_colorable(rows, m, 3):
-            values[s] = 3
-            threes.append(s)
-
-    flagged = bytearray(size)
-    for s in threes:
-        for d in maximal_cliques_within(g, g.full & ~s):
-            if d:
-                flagged[s | d] = 1
-    for u in range(size - 1, 0, -1):
-        if flagged[u]:
-            for i in bits(u):
-                flagged[u & ~(1 << i)] = 1
-    for s in range(1, size):
-        if values[s] is INF and flagged[s]:
-            values[s] = 4
-
-    adj = g.adj
-    for s in range(1, size):
-        if values[s] is not INF:
-            continue
-        v = lowest_bit(s)
-        vbit = 1 << v
-        best = None
-        for d in maximal_cliques_within(g, s & adj[v]):
-            cand = values[s & ~(d | vbit)]
-            if best is None or cand < best:
-                best = cand
-        values[s] = best + 1
-    return CoverTable(g, values, None)
-
-
-@dataclass(frozen=True)
-class IECounters:
-    """Inclusion-exclusion aggregates for one graph.
-
-    alpha[S] counts maximal independent sets avoiding S; c_k[k] counts
-    k-subsets of distinct maximal independent sets covering V; p_k[k]
-    counts ordered k-tuples of nonempty independent sets covering V.
-    """
-
-    alpha: List[int]
-    c_k: List[int]
-    p_k: List[int]
-
-
 def _alpha_table(g: Graph) -> List[int]:
     size = 1 << g.n
     zeta = [0] * size
@@ -308,45 +161,26 @@ def ie_count_partitions(g: Graph, k: int) -> int:
     _check_cap(g)
     if k < 0:
         raise ValueError("k must be nonnegative")
-    ind = _independent_count_table(g)
-    full = g.full
+    return _ie_partition_sum(_independent_count_table(g), g.full, k)
+
+
+def _ie_partition_sum(ind: List[int], full: int, k: int) -> int:
+    """The signed subset sum behind ie_count_partitions, given the
+    independent-set counts ind of the graph whose vertex set is full."""
     total = 0
-    for x in range(1 << g.n):
+    for x in range(full + 1):
         a = ind[full & ~x] - 1
         term = a**k
         total += -term if x.bit_count() & 1 else term
     return total
 
 
-def ie_counters(g: Graph, k_max: int) -> IECounters:
-    _check_cap(g)
-    alpha = _alpha_table(g)
-    ind = _independent_count_table(g)
-    full = g.full
-    c_k = [0] * (k_max + 1)
-    p_k = [0] * (k_max + 1)
-    for s in range(1 << g.n):
-        sign = -1 if s.bit_count() & 1 else 1
-        a = alpha[s]
-        b = ind[full & ~s] - 1
-        for k in range(k_max + 1):
-            c_k[k] += sign * math.comb(a, k)
-            p_k[k] += sign * b**k
-    return IECounters(alpha, c_k, p_k)
-
-
 def _ie_chromatic(g: Graph) -> int:
     if g.n == 0:
         return 0
     ind = _independent_count_table(g)
-    full = g.full
     for k in range(1, g.n + 1):
-        total = 0
-        for x in range(1 << g.n):
-            a = ind[full & ~x] - 1
-            term = a**k
-            total += -term if x.bit_count() & 1 else term
-        if total > 0:
+        if _ie_partition_sum(ind, g.full, k) > 0:
             return k
     return g.n
 
@@ -405,7 +239,8 @@ def ie_chromatic_with_construction(g: Graph) -> Tuple[int, List[int]]:
             groups.pop(j)
             h = Graph(h.n - 1, merged_adj)
 
-    assert h.n == k, "complete merge graph must have chi vertices"
+    if h.n != k:
+        raise RuntimeError("complete merge graph must have chi vertices")
     coloring = [0] * n
     for color, grp in enumerate(groups):
         for v in bits(grp):
@@ -416,7 +251,7 @@ def ie_chromatic_with_construction(g: Graph) -> Tuple[int, List[int]]:
 def vcc(g: Graph, s: int) -> Tuple[int, List[int]]:
     """Minimum disjoint clique partition of s, by direct backtracking.
 
-    Independent of the subset tables on purpose: it serves as the
+    Independent of the subset table on purpose: it serves as the
     second route for cross-checks and for re-covering decomposition
     bags.  Returns (count, class masks).
     """

@@ -5,13 +5,14 @@ with a bag per node and an explicit clique collection per node covering
 the bag.  Validation returns a report of violated conditions instead of
 raising; sanitization enforces the structural hygiene the solvers'
 witness-gluing step may break (empty margins, disconnected components,
-dangling adhesion vertices) and re-derives minimal covers.
+dangling adhesion vertices) and re-derives minimal covers.  Both exact
+solvers reach disconnected graphs through solve_per_component.
 """
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
-from .bitset import bit_list, bits, mask_of
+from .bitset import bit_list, bits
 from .graph import Graph, expand_mask
 
 
@@ -278,13 +279,15 @@ def sanitize(g: Graph, d: AugmentedTreeDecomposition) -> AugmentedTreeDecomposit
     while True:
         if contract_once() or prune_once() or split_once():
             steps += 1
-            assert steps <= cap, "sanitize failed to converge"
+            if steps > cap:
+                raise RuntimeError("sanitize failed to converge")
             continue
         break
 
     # renumber breadth-first from the surviving root
     roots = [i for i in range(len(bags)) if alive[i] and parents[i] == -1]
-    assert len(roots) == 1, "sanitize lost the root"
+    if len(roots) != 1:
+        raise RuntimeError("sanitize lost the root")
     order = [roots[0]]
     pos = {roots[0]: 0}
     queue = [roots[0]]
@@ -299,7 +302,8 @@ def sanitize(g: Graph, d: AugmentedTreeDecomposition) -> AugmentedTreeDecomposit
     new_covers = tuple(tuple(sorted(vcc(g, b)[1])) for b in new_bags)
     out = AugmentedTreeDecomposition(new_parents, new_bags, new_covers)
     rep = validate(g, out)
-    assert rep.ok, f"sanitize broke the decomposition: {rep}"
+    if not rep.ok:
+        raise RuntimeError(f"sanitize broke the decomposition: {rep}")
     return out
 
 
@@ -314,7 +318,8 @@ def combine_forest(parts: List[AugmentedTreeDecomposition]) -> AugmentedTreeDeco
     """Join per-component decompositions into one tree by hanging the
     later roots under the first root.  Valid because the vertex sets are
     disjoint."""
-    assert parts
+    if not parts:
+        raise ValueError("combine_forest needs at least one decomposition")
     parents: List[int] = []
     bags: List[int] = []
     covers: List[Tuple[int, ...]] = []
@@ -328,3 +333,20 @@ def combine_forest(parts: List[AugmentedTreeDecomposition]) -> AugmentedTreeDeco
             bags.append(d.bags[i])
             covers.append(tuple(d.covers[i]))
     return AugmentedTreeDecomposition(tuple(parents), tuple(bags), tuple(covers))
+
+
+def solve_per_component(
+    g: Graph, solve_connected: Callable[[Graph], Tuple[int, AugmentedTreeDecomposition]],
+) -> Tuple[int, AugmentedTreeDecomposition]:
+    """tcl of g with a witness from a solver for connected graphs: the
+    maximum over components, and the per-component trees joined into one."""
+    if g.n == 0:
+        return 0, AugmentedTreeDecomposition((-1,), (0,), ((),))
+    parts: List[AugmentedTreeDecomposition] = []
+    best = 0
+    for comp in g.components_within(g.full):
+        sub, verts = g.induced_subgraph(comp)
+        k, atd = solve_connected(sub)
+        best = max(best, k)
+        parts.append(relabel(atd, verts))
+    return best, combine_forest(parts)

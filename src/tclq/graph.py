@@ -85,9 +85,6 @@ class Graph:
     def is_complete(self) -> bool:
         return self.is_clique(self.full)
 
-    def max_degree(self) -> int:
-        return max((a.bit_count() for a in self.adj), default=0)
-
     def clique_number(self) -> int:
         return max((c.bit_count() for c in maximal_cliques_within(self, self.full)), default=0)
 

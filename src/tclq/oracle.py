@@ -288,7 +288,8 @@ def brute_pmcs(g: Graph, budget: Optional[OracleBudget] = None) -> List[int]:
         h = g
         for i in bits(fam):
             h = h.complete_set(seps[i])
-        assert is_chordal(h), "parallel-family fill must triangulate"
+        if not is_chordal(h):
+            raise RuntimeError("parallel-family fill must triangulate")
         for c in _maximal_cliques_by_filter(h):
             pmcs.add(c)
     return sorted(pmcs)

@@ -21,8 +21,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .bitset import bits
 from .cover import CoverTable, lawler_table
-from .decomposition import (AugmentedTreeDecomposition, combine_forest,
-                            relabel, sanitize)
+from .decomposition import AugmentedTreeDecomposition, sanitize, solve_per_component
 from .graph import Graph
 
 
@@ -138,22 +137,16 @@ def decide_tcl_at_most_k(
     return False, None
 
 
+def _tcl_connected(g: Graph) -> Tuple[int, AugmentedTreeDecomposition]:
+    table = lawler_table(g)
+    k = 1
+    while True:
+        ok, atd = decide_tcl_at_most_k(g, k, table)
+        if ok:
+            return k, atd
+        k += 1
+
+
 def compute_tcl(g: Graph) -> Tuple[int, AugmentedTreeDecomposition]:
-    """Minimum k with a witness; disconnected graphs take the maximum
-    over components and the per-component trees are joined into one."""
-    if g.n == 0:
-        return 0, AugmentedTreeDecomposition((-1,), (0,), ((),))
-    parts: List[AugmentedTreeDecomposition] = []
-    best = 0
-    for comp in g.components_within(g.full):
-        sub, verts = g.induced_subgraph(comp)
-        table = lawler_table(sub)
-        k = 1
-        while True:
-            ok, atd = decide_tcl_at_most_k(sub, k, table)
-            if ok:
-                break
-            k += 1
-        best = max(best, k)
-        parts.append(relabel(atd, verts))
-    return best, combine_forest(parts)
+    """Minimum k with a witness, per component (solve_per_component)."""
+    return solve_per_component(g, _tcl_connected)

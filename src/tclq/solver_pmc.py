@@ -31,8 +31,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
 from .cover import CoverOracle, CoverTable, _check_cap, lawler_table
-from .decomposition import (AugmentedTreeDecomposition, combine_forest,
-                            relabel, sanitize)
+from .decomposition import AugmentedTreeDecomposition, sanitize, solve_per_component
 from .graph import Graph, _pmcs_and_separators, enumerate_minimal_separators, is_pmc
 
 # Largest n whose catalog comes from the dense table and subset sweep.
@@ -172,16 +171,10 @@ def tcl_via_pmc(g: Graph, catalog: PmcCatalog) -> Tuple[int, AugmentedTreeDecomp
     return best_total, atd
 
 
+def _tcl_connected(g: Graph) -> Tuple[int, AugmentedTreeDecomposition]:
+    return tcl_via_pmc(g, build_catalog(g)[0])
+
+
 def compute_tcl(g: Graph) -> Tuple[int, AugmentedTreeDecomposition]:
-    """Per-component wrapper around the block recurrence."""
-    if g.n == 0:
-        return 0, AugmentedTreeDecomposition((-1,), (0,), ((),))
-    parts: List[AugmentedTreeDecomposition] = []
-    best = 0
-    for comp in g.components_within(g.full):
-        sub, verts = g.induced_subgraph(comp)
-        catalog, _ = build_catalog(sub)
-        k, atd = tcl_via_pmc(sub, catalog)
-        best = max(best, k)
-        parts.append(relabel(atd, verts))
-    return best, combine_forest(parts)
+    """The block recurrence, per component (solve_per_component)."""
+    return solve_per_component(g, _tcl_connected)

@@ -4,7 +4,7 @@ One test per acceptance criterion, each a single pass/fail line under
 ``pytest -v``.  The tests cross-validate the independent implementations
 against each other and against the brute-force oracle, exhaustively on
 small corpora and on seeded random instances above that.  The whole file
-runs in a couple of minutes; the five-way cover sweep dominates.
+runs in about a minute; the four-way cover sweep dominates.
 """
 
 import itertools
@@ -14,7 +14,8 @@ import time
 from tclq.bitset import bits
 from tclq.cograph import compute_ecc, parse_and_binarize
 from tclq.cograph import compute_tcl as cotree_tcl
-from tclq.cover import fast_table, ie_chromatic_with_construction, ie_counters, lawler_table
+from tclq.cover import (ie_chromatic_with_construction, ie_count_covers, ie_count_partitions,
+                        lawler_table)
 from tclq.decomposition import sanitize, validate, width
 from tclq.generators import gen_corpora, gen_permutation, gen_random, gen_reduction_H
 from tclq.oracle import OracleBudget, brute_chromatic, is_chordal, tcl_oracle
@@ -46,9 +47,9 @@ def test_solver_agreement_exhaustive_and_random(connected_to_6):
         assert_good_witness(g, wp, expected_width=k)
 
 
-def test_cover_number_agreement_five_ways(graphs_to_6, graphs_7, graphs_8):
-    """Lawler table, three-pass table, cover counting, partition counting
-    and brute-force coloring of the complement all give the same vcc."""
+def test_cover_number_agreement_four_ways(graphs_to_6, graphs_7, graphs_8):
+    """Lawler table, cover counting, partition counting and brute-force
+    coloring of the complement all give the same vcc."""
     budget = OracleBudget(max_n=12)
     rng = random.Random(202)
     corpus = [*graphs_to_6, *graphs_7, *graphs_8]
@@ -57,13 +58,11 @@ def test_cover_number_agreement_five_ways(graphs_to_6, graphs_7, graphs_8):
         co = g.complement()
         chi = brute_chromatic(co, budget)
         assert lawler_table(g).values[g.full] == chi
-        assert fast_table(g).values[g.full] == chi
         if g.n == 0:
             assert chi == 0
             continue
-        counters = ie_counters(co, g.n)
-        assert next(k for k in range(1, g.n + 1) if counters.c_k[k] > 0) == chi
-        assert next(k for k in range(1, g.n + 1) if counters.p_k[k] > 0) == chi
+        for count in (ie_count_covers, ie_count_partitions):
+            assert next(k for k in range(1, g.n + 1) if count(co, k) > 0) == chi
 
 
 def test_constructed_coloring_proper_and_optimal():

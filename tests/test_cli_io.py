@@ -334,10 +334,15 @@ class TestCliCover:
 
     def test_methods_agree(self, c4_file, capsys):
         values = []
-        for method in ("lawler", "fast", "ie"):
+        for method in ("lawler", "ie"):
             assert main(["cover", "--input", c4_file, "--method", method]) == 0
             values.append(self.check_cover_output(cycle(4), capsys.readouterr().out))
-        assert values == [2, 2, 2]
+        assert values == [2, 2]
+
+    def test_removed_method_rejected(self, c4_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["cover", "--input", c4_file, "--method", "fast"])
+        assert exc.value.code == 2
 
     def test_capacity_exit(self, tmp_path, capsys):
         big = tmp_path / "big.col"

@@ -9,11 +9,9 @@ from tclq.bitset import bits, mask_of
 from tclq.cover import (
     CapacityError,
     CoverOracle,
-    fast_table,
     ie_chromatic_with_construction,
     ie_count_covers,
     ie_count_partitions,
-    ie_counters,
     lawler_table,
     vcc,
 )
@@ -96,36 +94,6 @@ class TestLawlerTable:
             lawler_table(Graph.from_edges(65, []))
 
 
-class TestFastTable:
-    def test_c5(self):
-        assert fast_table(cycle(5)).values[(1 << 5) - 1] == 3
-        assert fast_table(cycle(5)).values == lawler_table(cycle(5)).values
-
-    def test_k4(self):
-        assert fast_table(complete(4)).values[0b1111] == 1
-
-    def test_seeded_random_eight(self):
-        rng = random.Random(43)
-        from tclq.generators import gen_random
-
-        for _ in range(8):
-            g = gen_random(rng, 8, rng.choice([0.2, 0.5, 0.8]))
-            assert fast_table(g).values == lawler_table(g).values
-
-    def test_equal_on_all_small(self, graphs_to_6):
-        for g in graphs_to_6:
-            assert fast_table(g).values == lawler_table(g).values
-
-    def test_equal_on_seven(self):
-        rng = random.Random(47)
-        for g in rng.sample(connected_graphs(7), 120):
-            assert fast_table(g).values == lawler_table(g).values
-
-    def test_capacity(self):
-        with pytest.raises(CapacityError):
-            fast_table(Graph.from_edges(65, []))
-
-
 class TestPartitionReconstruction:
     def check_partition(self, g, s, parts, expect):
         assert len(parts) == expect
@@ -142,20 +110,6 @@ class TestPartitionReconstruction:
             t = lawler_table(g)
             for s in ([g.full] if g.n < 3 else [g.full, rng.randrange(1 << g.n)]):
                 self.check_partition(g, s, t.partition(s), t.values[s])
-
-    def test_fast_lazy_path(self):
-        rng = random.Random(59)
-        for g in rng.sample(connected_graphs(6), 40):
-            t = fast_table(g)
-            assert t.choice is None
-            for s in [g.full, rng.randrange(1 << g.n)]:
-                self.check_partition(g, s, t.partition(s), t.values[s])
-
-    def test_inconsistent_values_raise(self):
-        t = fast_table(cycle(5))
-        t.values[(1 << 5) - 1] = 2  # the true cover number is 3
-        with pytest.raises(RuntimeError, match="cover table inconsistent"):
-            t.partition((1 << 5) - 1)
 
     def test_oracle_matches_table(self, graphs_to_6):
         rng = random.Random(61)
@@ -205,14 +159,13 @@ class TestCountCovers:
         # near the top: for 2K2 the four MIS give c_3=4 but c_4=1.)
         for g in graphs_up_to(6):
             mis_count = len(enumerate_maximal_independent_sets(g))
-            counters = ie_counters(g, mis_count + 1)
             started = False
             for k in range(1, mis_count + 1):
-                if counters.c_k[k] > 0:
+                if ie_count_covers(g, k) > 0:
                     started = True
                 elif started:
                     raise AssertionError((g, k))
-            assert counters.c_k[mis_count + 1] == 0
+            assert ie_count_covers(g, mis_count + 1) == 0
 
 
 class TestCountPartitions:

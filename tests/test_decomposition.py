@@ -8,6 +8,7 @@ from tclq.bitset import mask_of
 from tclq.decomposition import (
     AugmentedTreeDecomposition,
     anatomy,
+    combine_forest,
     sanitize,
     validate,
     width,
@@ -188,6 +189,12 @@ class TestAnatomy:
             a = anatomy(d, t)
             assert a.margin == d.bags[t] & ~a.adhesion
             assert a.component & a.adhesion == 0
+
+
+class TestCombineForest:
+    def test_empty_raises(self):
+        with pytest.raises(ValueError):
+            combine_forest([])
 
 
 class TestSanitize:

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from tclq.bitset import bits
-from tclq.cover import fast_table, lawler_table
+from tclq.cover import lawler_table
 from tclq.decomposition import validate, width
 from tclq.graph import Graph
 from tclq.oracle import tcl_oracle
@@ -61,14 +61,6 @@ class TestDecide:
                 ok, _ = decide_tcl_at_most_k(g, k, table)
                 assert not (prev and not ok), f"monotonicity broke at k={k} on {g}"
                 prev = ok
-
-    def test_fast_table_interchangeable(self):
-        rng = random.Random(83)
-        for g in rng.sample(connected_graphs(6), 25):
-            for k in (1, 2, 3):
-                a, _ = decide_tcl_at_most_k(g, k, lawler_table(g))
-                b, _ = decide_tcl_at_most_k(g, k, fast_table(g))
-                assert a == b
 
     def test_deterministic_witness(self):
         rng = random.Random(89)

@@ -124,8 +124,8 @@ class TestComputeTcl:
 class TestDefaultRouteBuildsNoSubsetTable:
     @staticmethod
     def forbid_subset_tables(monkeypatch):
-        """Make both subset-table builders fail at every tclq binding."""
-        builders = (cover.lawler_table, cover.fast_table)
+        """Make the subset-table builder fail at every tclq binding."""
+        builder = cover.lawler_table
 
         def refuse(*args, **kwargs):
             pytest.fail("the default solve route built a subset table")
@@ -134,7 +134,7 @@ class TestDefaultRouteBuildsNoSubsetTable:
             if module is None or not (name == "tclq" or name.startswith("tclq.")):
                 continue
             for attr, value in list(vars(module).items()):
-                if any(value is b for b in builders):
+                if value is builder:
                     monkeypatch.setattr(module, attr, refuse)
 
     def solve(self, g, tmp_path, capsys):
