@@ -6,26 +6,39 @@ covering S (equivalently the chromatic number of the complement graph
 restricted to S).  The Lawler recurrence builds it, and an
 inclusion-exclusion engine counts covers/partitions by independent sets,
 which doubles as a chromatic-number routine with a constructive coloring
-mode.  The CoverOracle is the sparse counterpart: it solves only the
-sets a caller asks for, one at a time, and memoizes them.
+mode.  Every operation that builds a table over all 2^n subsets refuses a
+graph above TABLE_MAX_N vertices before allocating anything.  The
+CoverOracle is the sparse counterpart: it solves only the sets a caller
+asks for, one at a time, and memoizes them.
 """
 
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from .bitset import bit_list, bits, lowest_bit
 from .graph import Graph, enumerate_maximal_independent_sets, maximal_cliques_within
 
 CAP = 64
+# Largest n for a table over all 2^n subsets.  lawler_table takes about
+# 40 MB at n = 20, and sixteen times more for every four vertices.
+TABLE_MAX_N = 20
 
 
 class CapacityError(Exception):
-    """Raised when a subset-table operation gets a graph above the cap."""
+    """Raised when a graph is above CAP, or above TABLE_MAX_N for an
+    operation that builds a subset table."""
 
 
 def _check_cap(g: Graph) -> None:
     if g.n > CAP:
-        raise CapacityError(f"n={g.n} exceeds the subset-table cap of {CAP}")
+        raise CapacityError(f"n={g.n} exceeds the cap of {CAP} vertices")
+
+
+def _check_table(g: Graph) -> None:
+    """Refuse a subset table of g before any of it is allocated."""
+    if g.n > TABLE_MAX_N:
+        raise CapacityError(
+            f"n={g.n} exceeds the subset-table limit of {TABLE_MAX_N} vertices")
 
 
 class CoverTable:
@@ -64,7 +77,7 @@ def lawler_table(g: Graph) -> CoverTable:
     clique without breaking the rest.  Ties pick the lexicographically
     smallest clique mask so outputs are reproducible.
     """
-    _check_cap(g)
+    _check_table(g)
     n = g.n
     size = 1 << n
     values = [0] * size
@@ -113,6 +126,10 @@ class CoverOracle:
         return self._solve(s)[1]
 
 
+# Anything with value(s) and partition(s) over the same graph.
+Cover = Union[CoverOracle, CoverTable]
+
+
 def _alpha_table(g: Graph) -> List[int]:
     size = 1 << g.n
     zeta = [0] * size
@@ -141,7 +158,7 @@ def _independent_count_table(g: Graph) -> List[int]:
 def ie_count_covers(g: Graph, k: int) -> int:
     """Number of k-subsets of distinct maximal independent sets whose
     union is V; chi(G) is the smallest k making this positive."""
-    _check_cap(g)
+    _check_table(g)
     if k < 0:
         raise ValueError("k must be nonnegative")
     alpha = _alpha_table(g)
@@ -158,7 +175,7 @@ def ie_count_partitions(g: Graph, k: int) -> int:
     Positive exactly when chi(G) <= k; the solver paths only consume the
     positivity, which is what the subset-parity sum decides.
     """
-    _check_cap(g)
+    _check_table(g)
     if k < 0:
         raise ValueError("k must be nonnegative")
     return _ie_partition_sum(_independent_count_table(g), g.full, k)
@@ -194,7 +211,7 @@ def ie_chromatic_with_construction(g: Graph) -> Tuple[int, List[int]]:
     the pair and the two vertices merge.  When the working graph becomes
     complete, its vertices are the color classes.
     """
-    _check_cap(g)
+    _check_table(g)
     n = g.n
     if n == 0:
         return 0, []

@@ -5,14 +5,15 @@ with a bag per node and an explicit clique collection per node covering
 the bag.  Validation returns a report of violated conditions instead of
 raising; sanitization enforces the structural hygiene the solvers'
 witness-gluing step may break (empty margins, disconnected components,
-dangling adhesion vertices) and re-derives minimal covers.  Both exact
+dangling adhesion vertices) and re-derives minimum covers.  Both exact
 solvers reach disconnected graphs through solve_per_component.
 """
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .bitset import bit_list, bits
+from .cover import Cover, CoverOracle
 from .graph import Graph, expand_mask
 
 
@@ -181,7 +182,8 @@ def _subtree_nodes(parents: List[int], t: int) -> List[int]:
     return out
 
 
-def sanitize(g: Graph, d: AugmentedTreeDecomposition) -> AugmentedTreeDecomposition:
+def sanitize(g: Graph, d: AugmentedTreeDecomposition,
+             cover: Optional[Cover] = None) -> AugmentedTreeDecomposition:
     """Normalize a valid decomposition into a sane one.
 
     Repeats three mass-reducing rewrites until none applies: contract a
@@ -189,12 +191,13 @@ def sanitize(g: Graph, d: AugmentedTreeDecomposition) -> AugmentedTreeDecomposit
     component induces a disconnected subgraph into per-component sibling
     clones (bags clipped to component plus adhesion); drop adhesion
     vertices with no neighbor in the node's component from the whole
-    subtree.  Afterwards covers are recomputed as minimum clique
-    partitions and nodes renumbered breadth-first.  Bags only ever
-    shrink, so the width never increases.
+    subtree.  Afterwards every bag's cover is a minimum clique partition
+    read from cover (the caller's cover source of g, by default a fresh
+    CoverOracle), and nodes are renumbered breadth-first.  Bags only
+    ever shrink, so the width never increases.
     """
-    from .cover import vcc
-
+    if cover is None:
+        cover = CoverOracle(g)
     rep = validate(g, d)
     if not rep.ok:
         raise ValueError(f"sanitize requires a valid decomposition: {rep}")
@@ -299,7 +302,7 @@ def sanitize(g: Graph, d: AugmentedTreeDecomposition) -> AugmentedTreeDecomposit
             queue.append(c)
     new_parents = tuple(-1 if parents[t] < 0 else pos[parents[t]] for t in order)
     new_bags = tuple(bags[t] for t in order)
-    new_covers = tuple(tuple(sorted(vcc(g, b)[1])) for b in new_bags)
+    new_covers = tuple(tuple(sorted(cover.partition(b))) for b in new_bags)
     out = AugmentedTreeDecomposition(new_parents, new_bags, new_covers)
     rep = validate(g, out)
     if not rep.ok:

@@ -13,16 +13,30 @@ is S union c).  An entry is a yes when any of three rules applies:
 
 Sub-entries shrink the (part size, component size) pair lexicographically,
 so memoized recursion terminates.  Globally, tcl(G) <= k iff vcc(V) <= k
-or some separator with vcc <= k makes every entry a yes.
+or some minimal separator S with vcc(S) <= k makes every entry (S, c) a
+yes.  Minimal separators suffice as roots: filling every bag of a
+width-<=k decomposition into a clique gives a triangulation, and a
+minimal triangulation inside it has each maximal clique inside some bag,
+so its width is <= k too, because vcc is monotone under subsets.  When
+vcc(V) > k that triangulation is not complete, every edge of its clique
+tree is a minimal separator S of G, and the triangulation's bags
+restricted to S union c witness each entry (S, c).
+
+Cover values and bag partitions come from one source with value(s) and
+partition(s): a memoized CoverOracle, which solves only the sets the
+recursion reads, or a dense CoverTable.  Nothing on the solve path is
+indexed by all 2^n subsets.
 """
 
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .bitset import bits
-from .cover import CoverTable, lawler_table
+from .cover import Cover, CoverOracle, _check_cap
+# unused here; bench/tests/test_bench.py asserts the tracer patches this binding
+from .cover import lawler_table  # noqa: F401
 from .decomposition import AugmentedTreeDecomposition, sanitize, solve_per_component
-from .graph import Graph
+from .graph import Graph, enumerate_minimal_separators
 
 
 @dataclass
@@ -40,7 +54,7 @@ class _WNode:
     children: List["_WNode"]
 
 
-def _to_decomposition(g: Graph, table: CoverTable, root: _WNode) -> AugmentedTreeDecomposition:
+def _to_decomposition(g: Graph, cover: Cover, root: _WNode) -> AugmentedTreeDecomposition:
     parents: List[int] = []
     bags: List[int] = []
     covers: List[Tuple[int, ...]] = []
@@ -50,33 +64,43 @@ def _to_decomposition(g: Graph, table: CoverTable, root: _WNode) -> AugmentedTre
         idx = len(parents)
         parents.append(parent)
         bags.append(node.bag)
-        covers.append(tuple(sorted(table.partition(node.bag))))
+        covers.append(tuple(sorted(cover.partition(node.bag))))
         for ch in reversed(node.children):
             stack.append((ch, idx))
     return AugmentedTreeDecomposition(tuple(parents), tuple(bags), tuple(covers))
 
 
+def _root_order(separators: List[int]) -> List[int]:
+    """Separators in (size, mask) order, so the first witness is stable."""
+    return sorted(separators, key=lambda s: (s.bit_count(), s))
+
+
 def decide_tcl_at_most_k(
     g: Graph,
     k: int,
-    table: CoverTable,
+    cover: Cover,
     entries: Optional[Dict[Tuple[int, int], BlockEntry]] = None,
+    *,
+    separators: Optional[List[int]] = None,
 ) -> Tuple[bool, Optional[AugmentedTreeDecomposition]]:
     """Decide tcl(G) <= k for connected G; on yes, return a sanitized
     witness decomposition of width at most k.
 
-    The optional entries dict collects the processed block entries for
-    instrumentation.
+    cover supplies value(s) and partition(s) (a CoverOracle or a
+    CoverTable of G).  The optional entries dict collects the processed
+    block entries for instrumentation.  separators are the root
+    candidates, the minimal separators of G in (size, mask) order; when
+    omitted they are enumerated here.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     if not g.is_connected():
         raise ValueError("decision procedure requires a connected graph")
-    values = table.values
-    if values[g.full] <= k:
-        atd = _to_decomposition(g, table, _WNode(g.full, []))
+    value = cover.value
+    if value(g.full) <= k:
+        atd = _to_decomposition(g, cover, _WNode(g.full, []))
         if g.n:
-            atd = sanitize(g, atd)
+            atd = sanitize(g, atd, cover)
         return True, atd
     if entries is None:
         entries = {}
@@ -89,7 +113,7 @@ def decide_tcl_at_most_k(
         part = sep | comp
         ent = BlockEntry(sep, part, part.bit_count())
         entries[key] = ent
-        if values[part] <= k:
+        if value(part) <= k:
             ent.answer, ent.witness = True, _WNode(part, [])
             return ent.witness
         nb = g.neighbors(comp)
@@ -100,7 +124,7 @@ def decide_tcl_at_most_k(
                 return ent.witness
         for v in bits(comp):
             hub = sep | (1 << v)
-            if values[hub] > k:
+            if value(hub) > k:
                 continue
             subs = g.components_within(comp & ~(1 << v))
             kids = []
@@ -116,32 +140,32 @@ def decide_tcl_at_most_k(
         ent.answer = False
         return None
 
-    # separators in (size, mask) order so the first witness is stable
-    cands = [s for s in range(1, g.full) if values[s] <= k]
-    cands.sort(key=lambda s: (s.bit_count(), s))
-    for s in cands:
-        comps = g.components_within(g.full & ~s)
-        if len(comps) < 2:
+    if separators is None:
+        separators = _root_order(enumerate_minimal_separators(g))
+    for s in separators:
+        if value(s) > k:
             continue
         kids = []
-        for c in comps:
+        for c in g.components_within(g.full & ~s):
             w = yes(s, c)
             if w is None:
                 kids = None
                 break
             kids.append(w)
         if kids is not None:
-            atd = _to_decomposition(g, table, _WNode(s, kids))
-            atd = sanitize(g, atd)
+            atd = _to_decomposition(g, cover, _WNode(s, kids))
+            atd = sanitize(g, atd, cover)
             return True, atd
     return False, None
 
 
 def _tcl_connected(g: Graph) -> Tuple[int, AugmentedTreeDecomposition]:
-    table = lawler_table(g)
+    _check_cap(g)
+    cover = CoverOracle(g)
+    separators = _root_order(enumerate_minimal_separators(g))
     k = 1
     while True:
-        ok, atd = decide_tcl_at_most_k(g, k, table)
+        ok, atd = decide_tcl_at_most_k(g, k, cover, separators=separators)
         if ok:
             return k, atd
         k += 1

@@ -28,9 +28,9 @@ a Lawler table and an is_pmc sweep over all subsets.
 """
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
-from .cover import CoverOracle, CoverTable, _check_cap, lawler_table
+from .cover import Cover, CoverOracle, _check_cap, lawler_table
 from .decomposition import AugmentedTreeDecomposition, sanitize, solve_per_component
 from .graph import Graph, _pmcs_and_separators, enumerate_minimal_separators, is_pmc
 
@@ -39,8 +39,6 @@ from .graph import Graph, _pmcs_and_separators, enumerate_minimal_separators, is
 # listing's time this way; with n <= 5 the two routes tie.  The
 # benchmark's tracer self-test reads this route's counts on C4.
 DENSE_MAX_N = 4
-
-Cover = Union[CoverOracle, CoverTable]
 
 
 @dataclass
@@ -167,7 +165,7 @@ def tcl_via_pmc(g: Graph, catalog: PmcCatalog) -> Tuple[int, AugmentedTreeDecomp
         sep = best_sep if isfull else g.neighbors(c)
         block_witness(sep, c, parents, bags, covers, 0)
     atd = AugmentedTreeDecomposition(tuple(parents), tuple(bags), tuple(covers))
-    atd = sanitize(g, atd)
+    atd = sanitize(g, atd, cover)
     return best_total, atd
 
 

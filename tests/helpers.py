@@ -1,9 +1,14 @@
 """Shared builders and checkers for the test suite."""
 
+import sys
 from itertools import combinations
 from typing import List, Optional
 
+import pytest
+
+from tclq import cover, io
 from tclq.bitset import bits, mask_of
+from tclq.cli import main
 from tclq.decomposition import AugmentedTreeDecomposition, anatomy, validate, width
 from tclq.graph import Graph, maximal_cliques_within
 
@@ -119,3 +124,31 @@ def is_p4_free(g: Graph) -> bool:
         if counts == [1, 1, 2, 2]:
             return False
     return True
+
+
+def forbid_subset_tables(monkeypatch) -> None:
+    """Make the subset-table builder fail at every tclq binding."""
+    builder = cover.lawler_table
+
+    def refuse(*args, **kwargs):
+        pytest.fail("the solve route built a subset table")
+
+    for name, module in list(sys.modules.items()):
+        if module is None or not (name == "tclq" or name.startswith("tclq.")):
+            continue
+        for attr, value in list(vars(module).items()):
+            if value is builder:
+                monkeypatch.setattr(module, attr, refuse)
+
+
+def solve_cli(g: Graph, tmp_path, capsys, *options: str) -> int:
+    """Run `tclq solve --out` on g, check the witness with validate and
+    its width, and return the printed tcl."""
+    col = tmp_path / "g.col"
+    col.write_text(io.serialize_graph(g))
+    out = tmp_path / "d.tcd"
+    assert main(["solve", "--input", str(col), "--out", str(out), *options]) == 0
+    k = int(capsys.readouterr().out.split()[1])
+    d, n = io.parse_decomposition(out.read_text())
+    assert n == g.n and validate(g, d).ok and width(d) == k
+    return k

@@ -3,6 +3,7 @@
 import random
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -348,6 +349,21 @@ class TestCliCover:
         big = tmp_path / "big.col"
         big.write_text("p edge 65 0\n")
         assert main(["cover", "--input", str(big)]) == 3
+
+    @pytest.mark.parametrize("method", ["lawler", "ie"])
+    def test_table_limit_exit_before_allocating(self, method, tmp_path, capsys):
+        # a table for 30 vertices would take gigabytes; the refusal must not
+        big = tmp_path / "edgeless30.col"
+        big.write_text("p edge 30 0\n")
+        tracemalloc.start()
+        try:
+            code = main(["cover", "--input", str(big), "--method", method])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        assert "subset-table limit" in capsys.readouterr().err
+        assert peak < 1 << 20
 
 
 class TestCliVerify:

@@ -7,6 +7,7 @@ import pytest
 
 from tclq.bitset import bits, mask_of
 from tclq.cover import (
+    TABLE_MAX_N,
     CapacityError,
     CoverOracle,
     ie_chromatic_with_construction,
@@ -284,6 +285,14 @@ class TestVcc:
 
 
 class TestCapacity:
+    def test_table_ops_refuse_above_the_table_limit(self):
+        assert TABLE_MAX_N >= 18
+        big = Graph.from_edges(TABLE_MAX_N + 1, [])
+        for build in (lawler_table, ie_chromatic_with_construction,
+                      lambda g: ie_count_covers(g, 1), lambda g: ie_count_partitions(g, 1)):
+            with pytest.raises(CapacityError, match="subset-table limit"):
+                build(big)
+
     def test_counting_ops_reject_oversized(self):
         big = Graph.from_edges(65, [])
         with pytest.raises(CapacityError):

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from tclq.bitset import mask_of
+from tclq.cover import CoverOracle, lawler_table
 from tclq.decomposition import (
     AugmentedTreeDecomposition,
     anatomy,
@@ -259,6 +260,20 @@ class TestSanitize:
             again = sanitize(g, out)
             assert sorted(again.bags) == sorted(out.bags)
             assert width(again) == width(out)
+
+    def test_covers_come_from_the_given_source(self):
+        rng = random.Random(83)
+        for g in rng.sample(connected_graphs(6), 25):
+            messy = perturb(rng, g, compute_tcl(g)[1])
+            oracle = CoverOracle(g)
+            out = sanitize(g, messy, oracle)
+            assert set(out.bags) <= set(oracle.memo)
+            assert out == sanitize(g, messy)
+            table = lawler_table(g)
+            from_table = sanitize(g, messy, table)
+            assert from_table.bags == out.bags
+            assert from_table.covers == tuple(tuple(sorted(table.partition(b)))
+                                              for b in out.bags)
 
     def test_width_never_above_tcl_witness(self):
         rng = random.Random(79)

@@ -4,15 +4,24 @@ import random
 
 import pytest
 
-from tclq.bitset import bits
-from tclq.cover import lawler_table
+from tclq import solver_dp
+from tclq.cover import CapacityError, CoverOracle, lawler_table
 from tclq.decomposition import validate, width
+from tclq.generators import gen_random
 from tclq.graph import Graph
 from tclq.oracle import tcl_oracle
 from tclq.solver_dp import compute_tcl, decide_tcl_at_most_k
+from tclq.solver_pmc import compute_tcl as pmc_tcl
 
 from corpus import connected_graphs
-from helpers import assert_good_witness, complete, cycle, path
+from helpers import (
+    assert_good_witness,
+    complete,
+    cycle,
+    forbid_subset_tables,
+    path,
+    solve_cli,
+)
 
 
 def decide(g, k, entries=None):
@@ -61,6 +70,15 @@ class TestDecide:
                 ok, _ = decide_tcl_at_most_k(g, k, table)
                 assert not (prev and not ok), f"monotonicity broke at k={k} on {g}"
                 prev = ok
+
+    def test_oracle_and_table_agree(self, connected_to_6):
+        for g in connected_to_6:
+            table, oracle = lawler_table(g), CoverOracle(g)
+            for k in range(1, g.n + 2):
+                ok, d = decide_tcl_at_most_k(g, k, oracle)
+                assert ok == decide_tcl_at_most_k(g, k, table)[0], f"k={k} on {g}"
+                if ok:
+                    assert validate(g, d).ok and width(d) <= k
 
     def test_deterministic_witness(self):
         rng = random.Random(89)
@@ -111,6 +129,42 @@ class TestComputeTcl:
         k, d = compute_tcl(g)
         assert k == 2
         assert_good_witness(g, d, expected_width=2)
+
+    def test_separators_enumerated_once_per_component(self, monkeypatch):
+        real = solver_dp.enumerate_minimal_separators
+        calls = []
+
+        def counting(g):
+            calls.append(g.n)
+            return real(g)
+
+        monkeypatch.setattr(solver_dp, "enumerate_minimal_separators", counting)
+        # C6 plus a disjoint C5: tcl 2 each, so k = 1 fails and k = 2 holds
+        g = Graph.from_edges(11, [(i, (i + 1) % 6) for i in range(6)] +
+                             [(6 + i, 6 + (i + 1) % 5) for i in range(5)])
+        assert compute_tcl(g)[0] == 2
+        assert sorted(calls) == [5, 6]
+
+    def test_capacity(self):
+        with pytest.raises(CapacityError):
+            compute_tcl(path(65))
+
+
+class TestDpRouteBuildsNoSubsetTable:
+    @pytest.mark.parametrize("n", [12, 13, 14])
+    def test_matches_pmc(self, n, monkeypatch, tmp_path, capsys):
+        rng = random.Random(f"dp-no-subset-table:{n}")
+        graphs = [gen_random(rng, n, p, connected=True) for p in (0.2, 0.4, 0.7)]
+        want = [pmc_tcl(g)[0] for g in graphs]
+        forbid_subset_tables(monkeypatch)
+        got = [solve_cli(g, tmp_path, capsys, "--algo", "dp") for g in graphs]
+        assert got == want
+
+    def test_n18(self, monkeypatch, tmp_path, capsys):
+        g = gen_random(random.Random("dp-no-subset-table:18"), 18, 0.4, connected=True)
+        want = pmc_tcl(g)[0]
+        forbid_subset_tables(monkeypatch)
+        assert solve_cli(g, tmp_path, capsys, "--algo", "dp") == want
 
 
 class TestBlockInstrumentation:
