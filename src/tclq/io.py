@@ -4,7 +4,7 @@ Vertices are 1-indexed in files and 0-indexed in memory; the shift is
 owned by this module.  All parse errors carry the offending line number.
 """
 
-from typing import List, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from .bitset import bits, mask_of
 from .decomposition import AugmentedTreeDecomposition
@@ -17,10 +17,12 @@ class ParseError(ValueError):
         self.line = line
 
 
-def parse_graph(text: str) -> Graph:
+def parse_graph(text: str, check_n: Optional[Callable[[int], None]] = None) -> Graph:
     """DIMACS-like: `c` comments, one `p edge <n> <m>`, then `e <u> <v>` lines.
 
-    m must equal the number of distinct edges.
+    m must equal the number of distinct edges.  check_n, if given, gets
+    the declared n before anything of that size is allocated, and raises
+    to refuse the graph.
     """
     n = None
     declared_m = 0
@@ -40,6 +42,8 @@ def parse_graph(text: str) -> Graph:
                 raise ParseError("non-numeric problem line", lineno)
             if n < 0 or declared_m < 0:
                 raise ParseError("negative count in problem line", lineno)
+            if check_n is not None:
+                check_n(n)
         elif fields[0] == "e":
             if n is None:
                 raise ParseError("edge before problem line", lineno)

@@ -11,7 +11,8 @@ from tclq.bitset import mask_of
 from tclq.cli import main
 from tclq.cograph import cotree_to_graph, parse_and_binarize
 from tclq.decomposition import validate, width
-from tclq.generators import gen_corpora, gen_reduction_H
+from tclq.cover import vcc
+from tclq.generators import gen_corpora, gen_random, gen_reduction_H
 from tclq.graph import Graph
 from tclq.io import (
     ParseError,
@@ -27,7 +28,7 @@ from tclq.permutation import inversion_graph
 from tclq.solver_dp import compute_tcl as dp_tcl
 
 from corpus import connected_graphs
-from helpers import complete, cycle, is_p4_free
+from helpers import complete, cycle, forbid_subset_tables, is_p4_free
 
 C4_COL = "c a four-cycle\np edge 4 4\ne 1 2\ne 2 3\ne 3 4\ne 4 1\n"
 
@@ -36,6 +37,18 @@ class TestGraphFormat:
     def test_parse_c4(self):
         g = parse_graph(C4_COL)
         assert g == cycle(4)
+
+    def test_check_n_sees_the_declared_n_first(self):
+        seen = []
+        assert parse_graph(C4_COL, check_n=seen.append) == cycle(4)
+        assert seen == [4]
+
+        def refuse(n):
+            raise OverflowError(n)
+
+        # the refusal comes before the edge lines are read
+        with pytest.raises(OverflowError):
+            parse_graph("p edge 3 1\ne 1 9\n", check_n=refuse)
 
     def test_round_trip(self):
         rng = random.Random(167)
@@ -349,6 +362,46 @@ class TestCliCover:
         big = tmp_path / "big.col"
         big.write_text("p edge 65 0\n")
         assert main(["cover", "--input", str(big)]) == 3
+
+    @pytest.mark.parametrize("method, expected", [
+        ("lawler", "vcc 2\nclique 1 2\nclique 3 4\n"),
+        ("ie", "vcc 2\nclique 2 3\nclique 1 4\n"),
+    ])
+    def test_c4_output(self, method, expected, c4_file, capsys):
+        # Lawler breaks the tie at vertex 1 towards the smaller clique {1, 2}
+        assert main(["cover", "--input", c4_file, "--method", method]) == 0
+        assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize("method", ["lawler", "ie"])
+    def test_zero_vertices(self, method, tmp_path, capsys):
+        col = tmp_path / "n0.col"
+        col.write_text("p edge 0 0\n")
+        assert main(["cover", "--input", str(col), "--method", method]) == 0
+        assert capsys.readouterr().out == "vcc 0\n"
+
+    @pytest.mark.parametrize("n, p", [(18, 0.5), (20, 0.7)])
+    def test_lawler_builds_no_subset_table(self, n, p, tmp_path, capsys, monkeypatch):
+        forbid_subset_tables(monkeypatch)
+        g = gen_random(random.Random(n), n, p)
+        col = tmp_path / "g.col"
+        col.write_text(serialize_graph(g))
+        assert main(["cover", "--input", str(col)]) == 0
+        assert self.check_cover_output(g, capsys.readouterr().out) == vcc(g, g.full)[0]
+
+    @pytest.mark.parametrize("method", ["lawler", "ie"])
+    def test_declared_n_refused_before_building_the_graph(self, method, tmp_path, capsys):
+        # a graph of 10^8 vertices would take gigabytes before any table
+        big = tmp_path / "edgeless1e8.col"
+        big.write_text("p edge 100000000 0\n")
+        tracemalloc.start()
+        try:
+            code = main(["cover", "--input", str(big), "--method", method])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        assert "subset-table limit" in capsys.readouterr().err
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize("method", ["lawler", "ie"])
     def test_table_limit_exit_before_allocating(self, method, tmp_path, capsys):

@@ -1,10 +1,12 @@
 """Clique cover tables, inclusion-exclusion counting, constructive coloring."""
 
 import itertools
+import math
 import random
 
 import pytest
 
+from tclq import cover
 from tclq.bitset import bits, mask_of
 from tclq.cover import (
     TABLE_MAX_N,
@@ -13,10 +15,12 @@ from tclq.cover import (
     ie_chromatic_with_construction,
     ie_count_covers,
     ie_count_partitions,
+    lawler_cover,
     lawler_table,
     vcc,
 )
-from tclq.graph import Graph, enumerate_maximal_independent_sets
+from tclq.generators import gen_random
+from tclq.graph import Graph, enumerate_maximal_independent_sets, maximal_cliques_within
 from tclq.oracle import brute_chromatic
 
 from corpus import connected_graphs, graphs_up_to
@@ -121,6 +125,122 @@ class TestPartitionReconstruction:
                 assert oracle.value(s) == t.values[s]
                 self.check_partition(g, s, oracle.partition(s), t.values[s])
             assert len(oracle.memo) <= 2
+
+
+class TestLawlerCover:
+    """The top-down route gives the table's value and partition at V."""
+
+    def check(self, g):
+        t = lawler_table(g)
+        assert lawler_cover(g) == (t.values[g.full], t.partition(g.full))
+
+    def test_matches_table_to_6(self, graphs_to_6):
+        for g in graphs_to_6:
+            self.check(g)
+
+    def test_matches_table_7(self, graphs_7):
+        for g in graphs_7:
+            self.check(g)
+
+    @pytest.mark.parametrize("n", range(8, 17))
+    def test_matches_table_seeded(self, n):
+        rng = random.Random(1000 + n)
+        for p in (0.2, 0.5, 0.8):
+            self.check(gen_random(rng, n, p))
+
+    def test_ties_pick_the_smallest_clique(self, graphs_to_6):
+        # at each set on the walk, the clique removed is the smallest mask
+        # among the maximal cliques through the lowest vertex that leave
+        # a rest of least vcc, with vcc from backtracking
+        rng = random.Random(89)
+        graphs = [g for g in graphs_to_6 if g.n >= 4]
+        graphs += [gen_random(rng, 9, p) for p in (0.3, 0.5, 0.7) for _ in range(5)]
+        for g in graphs:
+            k, parts = lawler_cover(g)
+            s = g.full
+            for d in parts:
+                v = (s & -s).bit_length() - 1
+                options = [c | 1 << v for c in maximal_cliques_within(g, s & g.adj[v])]
+                rest = [vcc(g, s & ~c)[0] for c in options]
+                assert d == options[rest.index(min(rest))], (g, s)
+                s &= ~d
+            assert len(parts) == k
+
+    def test_solves_each_set_once_and_few_sets(self, monkeypatch):
+        solved = []
+        step = cover._lawler_step
+
+        def counting_step(g, s, value):
+            solved.append(s)
+            return step(g, s, value)
+
+        monkeypatch.setattr(cover, "_lawler_step", counting_step)
+        lawler_cover(gen_random(random.Random(3), 13, 0.5))
+        assert len(solved) == len(set(solved)) < 1 << 10
+
+
+def reference_independent_count_table(g: Graph):
+    """The lowest-bit recurrence, one entry at a time."""
+    ind = [0] * (1 << g.n)
+    ind[0] = 1
+    for t in range(1, 1 << g.n):
+        v = (t & -t).bit_length() - 1
+        ind[t] = ind[t & ~(1 << v)] + ind[t & ~g.nbr_closed(v)]
+    return ind
+
+
+def reference_mis_count_table(g: Graph):
+    """The zeta transform of the maximal independent sets, in place."""
+    zeta = [0] * (1 << g.n)
+    for m in enumerate_maximal_independent_sets(g):
+        zeta[m] = 1
+    for i in range(g.n):
+        for t in range(1 << g.n):
+            if t >> i & 1:
+                zeta[t] += zeta[t & ~(1 << i)]
+    return zeta
+
+
+def reference_count_partitions(g: Graph, k: int) -> int:
+    """The direct signed subset sum over the uncovered set X."""
+    ind = reference_independent_count_table(g)
+    total = 0
+    for x in range(1 << g.n):
+        term = (ind[g.full & ~x] - 1) ** k
+        total += -term if x.bit_count() & 1 else term
+    return total
+
+
+def reference_count_covers(g: Graph, k: int) -> int:
+    zeta = reference_mis_count_table(g)
+    total = 0
+    for x in range(1 << g.n):
+        term = math.comb(zeta[g.full & ~x], k)
+        total += -term if x.bit_count() & 1 else term
+    return total
+
+
+class TestIeKernels:
+    """The doubling tables and the histogram sums against the
+    one-entry-at-a-time loops, for every k in 0..n+1."""
+
+    def check(self, g):
+        assert cover._independent_count_table(g) == reference_independent_count_table(g)
+        assert cover._maximal_independent_count_table(g) == reference_mis_count_table(g)
+        for k in range(g.n + 2):
+            assert ie_count_partitions(g, k) == reference_count_partitions(g, k), (g, k)
+            assert ie_count_covers(g, k) == reference_count_covers(g, k), (g, k)
+
+    def test_all_graphs_to_6(self, graphs_to_6):
+        assert {g.n for g in graphs_to_6} == set(range(7))
+        for g in graphs_to_6:
+            self.check(g)
+
+    @pytest.mark.parametrize("n", range(7, 13))
+    def test_seeded(self, n):
+        rng = random.Random(500 + n)
+        for p in (0.2, 0.5, 0.8):
+            self.check(gen_random(rng, n, p))
 
 
 class TestCountCovers:
@@ -288,7 +408,7 @@ class TestCapacity:
     def test_table_ops_refuse_above_the_table_limit(self):
         assert TABLE_MAX_N >= 18
         big = Graph.from_edges(TABLE_MAX_N + 1, [])
-        for build in (lawler_table, ie_chromatic_with_construction,
+        for build in (lawler_table, lawler_cover, ie_chromatic_with_construction,
                       lambda g: ie_count_covers(g, 1), lambda g: ie_count_partitions(g, 1)):
             with pytest.raises(CapacityError, match="subset-table limit"):
                 build(big)
