@@ -61,8 +61,7 @@ def _solve(args) -> int:
                 _write(args.out, io.serialize_decomposition(witness, len(pi)))
             print("YES" if ok else "NO")
             return 0 if ok else 1
-        k = permutation.compute_tcl(pi)
-        witness = permutation.decide_tcl_at_most_k(pi, max(k, 1))[1] if args.out else None
+        k, witness = permutation.solve(pi) if args.out else (permutation.compute_tcl(pi), None)
         return _report(args, k, witness, len(pi))
 
     g = io.parse_graph(_read(args.input))

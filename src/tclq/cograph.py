@@ -59,30 +59,47 @@ def _tokenize(text: str) -> List[str]:
 
 
 def _parse_expr(tokens: List[str], pos: int):
-    """Returns (node, next_pos); node is ('leaf', name) or (label, [children])."""
-    if pos >= len(tokens):
-        raise CotreeParseError("unexpected end of input")
-    tok = tokens[pos]
-    if tok == ")":
-        raise CotreeParseError("unexpected ')'")
-    if tok != "(":
-        return ("leaf", tok), pos + 1
-    pos += 1
-    if pos >= len(tokens) or tokens[pos] in ("(", ")"):
-        raise CotreeParseError("internal node must start with a 0/1 label")
-    lab_tok = tokens[pos]
-    if lab_tok not in ("0", "1"):
-        raise CotreeParseError(f"unknown node label {lab_tok!r} (expected 0 or 1)")
-    pos += 1
-    children = []
-    while pos < len(tokens) and tokens[pos] != ")":
-        child, pos = _parse_expr(tokens, pos)
-        children.append(child)
-    if pos >= len(tokens):
-        raise CotreeParseError("missing ')'")
-    if len(children) < 2:
-        raise CotreeParseError(f"internal node has {len(children)} children, needs at least 2")
-    return (int(lab_tok), children), pos + 1
+    """Returns (node, next_pos); node is a leaf name (str) or (label, [children]).
+
+    Iterative, so the nesting depth is bounded by memory, not the stack.
+    """
+    stack: List[Tuple[int, list]] = []  # open internal nodes, innermost last
+    end = len(tokens)
+    while True:
+        # an expression starts at pos
+        if pos >= end:
+            raise CotreeParseError("unexpected end of input")
+        tok = tokens[pos]
+        pos += 1
+        if tok == ")":
+            raise CotreeParseError("unexpected ')'")
+        if tok == "(":
+            if pos >= end or tokens[pos] in ("(", ")"):
+                raise CotreeParseError("internal node must start with a 0/1 label")
+            lab_tok = tokens[pos]
+            if lab_tok not in ("0", "1"):
+                raise CotreeParseError(f"unknown node label {lab_tok!r} (expected 0 or 1)")
+            pos += 1
+            stack.append((int(lab_tok), []))
+            node = None
+        else:
+            node = tok
+        # hand the finished node to its parent, closing every node whose
+        # child list ends here
+        while True:
+            if node is not None:
+                if not stack:
+                    return node, pos
+                stack[-1][1].append(node)
+            if pos >= end:
+                raise CotreeParseError("missing ')'")
+            if tokens[pos] != ")":
+                break
+            node = stack.pop()
+            if len(node[1]) < 2:
+                raise CotreeParseError(
+                    f"internal node has {len(node[1])} children, needs at least 2")
+            pos += 1
 
 
 def parse_and_binarize(text: str) -> Cotree:
@@ -90,7 +107,9 @@ def parse_and_binarize(text: str) -> Cotree:
 
     A node (lab c1 c2 ... ck) with k > 2 becomes (lab (... (lab c1 c2)
     ...) ck); the topmost chain node keeps the original node's identity
-    in ``source``, the synthesized ones carry None.
+    in ``source``, the synthesized ones carry None.  Nodes are numbered
+    in preorder of the binary tree, so the root is node 0 and a k-ary
+    node's chain comes topmost first.  Iterative, like the parser.
     """
     tokens = _tokenize(text)
     if not tokens:
@@ -99,47 +118,50 @@ def parse_and_binarize(text: str) -> Cotree:
     if pos != len(tokens):
         raise CotreeParseError(f"trailing input after expression: {tokens[pos]!r}")
 
-    kids: List[Tuple[int, ...]] = []
+    kids: List = []
     label: List[Optional[int]] = []
     leaf_vertex: List[Optional[int]] = []
     source: List[Optional[int]] = []
     leaf_names: List[str] = []
     seen: Dict[str, int] = {}
-    orig_counter = [0]
-
-    def new_node(lab, lv, src) -> int:
-        kids.append(())
-        label.append(lab)
-        leaf_vertex.append(lv)
-        source.append(src)
-        return len(kids) - 1
-
-    def fold(lab, children, src) -> int:
-        # topmost chain node allocated first, so the root ends up as node 0
-        t = new_node(lab, None, src)
-        if len(children) == 2:
-            left = build(children[0])
+    # Entries are (expression, kids pair of the parent, side).  An
+    # expression is a leaf name, a parsed (label, children) node, or a
+    # chain node (label, children, m) standing for the fold of the first
+    # m children.  A node is numbered when it pops, in preorder, and
+    # only parsed nodes and leaves take a source index.
+    stack = [(ast, None, 0)]
+    src = 0
+    while stack:
+        node, slot, side = stack.pop()
+        if slot is not None:
+            slot[side] = len(kids)
+        if type(node) is str:
+            if node in seen:
+                raise CotreeParseError(f"duplicate leaf {node!r}")
+            seen[node] = len(leaf_names)
+            kids.append(())
+            label.append(None)
+            leaf_vertex.append(len(leaf_names))
+            source.append(src)
+            leaf_names.append(node)
+            src += 1
+            continue
+        if len(node) == 2:
+            lab, children = node
+            m = len(children)
+            source.append(src)
+            src += 1
         else:
-            left = fold(lab, children[:-1], None)
-        right = build(children[-1])
-        kids[t] = (left, right)
-        return t
-
-    def build(node) -> int:
-        src = orig_counter[0]
-        orig_counter[0] += 1
-        if node[0] == "leaf":
-            name = node[1]
-            if name in seen:
-                raise CotreeParseError(f"duplicate leaf {name!r}")
-            seen[name] = len(leaf_names)
-            leaf_names.append(name)
-            return new_node(None, seen[name], src)
-        lab, children = node
-        return fold(lab, children, src)
-
-    build(ast)
-    return Cotree(tuple(kids), tuple(label), tuple(leaf_vertex), tuple(leaf_names), tuple(source))
+            lab, children, m = node
+            source.append(None)
+        pair = [-1, -1]
+        kids.append(pair)
+        label.append(lab)
+        leaf_vertex.append(None)
+        stack.append((children[m - 1], pair, 1))
+        stack.append((children[0] if m == 2 else (lab, children, m - 1), pair, 0))
+    return Cotree(tuple(map(tuple, kids)), tuple(label), tuple(leaf_vertex),
+                  tuple(leaf_names), tuple(source))
 
 
 def _postorder(tree: Cotree) -> List[int]:

@@ -126,19 +126,23 @@ def is_p4_free(g: Graph) -> bool:
     return True
 
 
-def forbid_subset_tables(monkeypatch) -> None:
-    """Make the subset-table builder fail at every tclq binding."""
-    builder = cover.lawler_table
+def forbid(monkeypatch, fn, message: str) -> None:
+    """Make fn fail the test at every tclq binding."""
 
     def refuse(*args, **kwargs):
-        pytest.fail("the solve route built a subset table")
+        pytest.fail(message)
 
     for name, module in list(sys.modules.items()):
         if module is None or not (name == "tclq" or name.startswith("tclq.")):
             continue
         for attr, value in list(vars(module).items()):
-            if value is builder:
+            if value is fn:
                 monkeypatch.setattr(module, attr, refuse)
+
+
+def forbid_subset_tables(monkeypatch) -> None:
+    """Make the subset-table builder fail at every tclq binding."""
+    forbid(monkeypatch, cover.lawler_table, "the solve route built a subset table")
 
 
 def solve_cli(g: Graph, tmp_path, capsys, *options: str) -> int:

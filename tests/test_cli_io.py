@@ -7,12 +7,13 @@ import tracemalloc
 
 import pytest
 
+from tclq import permutation
 from tclq.bitset import mask_of
 from tclq.cli import main
 from tclq.cograph import cotree_to_graph, parse_and_binarize
 from tclq.decomposition import validate, width
 from tclq.cover import vcc
-from tclq.generators import gen_corpora, gen_random, gen_reduction_H
+from tclq.generators import gen_corpora, gen_permutation, gen_random, gen_reduction_H
 from tclq.graph import Graph
 from tclq.io import (
     ParseError,
@@ -28,7 +29,7 @@ from tclq.permutation import inversion_graph
 from tclq.solver_dp import compute_tcl as dp_tcl
 
 from corpus import connected_graphs
-from helpers import complete, cycle, forbid_subset_tables, is_p4_free
+from helpers import complete, cycle, forbid, forbid_subset_tables, is_p4_free
 
 C4_COL = "c a four-cycle\np edge 4 4\ne 1 2\ne 2 3\ne 3 4\ne 4 1\n"
 
@@ -301,6 +302,15 @@ class TestCliCograph:
         ct.write_text("(1 a\n")
         assert main(["solve", "--cograph", str(ct)]) == 2
 
+    def test_deep_caterpillar(self, tmp_path, capsys):
+        # (1 v1 (0 v2 (1 v3 ... v0))): a threshold graph, so chordal
+        depth = 5000
+        ct = tmp_path / "deep.ct"
+        ct.write_text("".join(f"({i % 2} v{i} " for i in range(1, depth + 1))
+                      + "v0" + ")" * depth + "\n")
+        assert main(["solve", "--cograph", str(ct)]) == 0
+        assert capsys.readouterr().out == "tcl 1\n"
+
 
 class TestCliPermutation:
     def test_solve(self, tmp_path, capsys):
@@ -325,6 +335,33 @@ class TestCliPermutation:
         pi = tmp_path / "bad.pi"
         pi.write_text("1 1 2\n")
         assert main(["solve", "--perm", str(pi)]) == 2
+
+    def test_out_builds_no_scanline_graph(self, tmp_path, capsys, monkeypatch):
+        forbid(monkeypatch, permutation.build_scanline_graph,
+               "solve --perm built the whole scanline graph")
+        pi = tmp_path / "p.pi"
+        pi.write_text(serialize_permutation(gen_permutation(random.Random(193), 20)))
+        assert main(["solve", "--perm", str(pi), "--out", str(tmp_path / "d.tcd")]) == 0
+        assert capsys.readouterr().out.startswith("tcl ")
+
+    def test_n40_round_trip_and_decision(self, tmp_path, capsys):
+        rng = random.Random(197)
+        for _ in range(2):
+            pi = gen_permutation(rng, 40)
+            pif, col, out = tmp_path / "p.pi", tmp_path / "g.col", tmp_path / "d.tcd"
+            pif.write_text(serialize_permutation(pi))
+            col.write_text(serialize_graph(inversion_graph(pi)))
+            assert main(["solve", "--perm", str(pif), "--out", str(out)]) == 0
+            k = int(capsys.readouterr().out.split()[1])
+            assert k >= 2
+            assert main(["verify", str(col), str(out)]) == 0
+            assert capsys.readouterr().out == f"valid: width {k}\n"
+            assert main(["solve", "--perm", str(pif), "--k", str(k - 1)]) == 1
+            assert capsys.readouterr().out == "NO\n"
+            assert main(["solve", "--perm", str(pif), "--k", str(k), "--out", str(out)]) == 0
+            assert capsys.readouterr().out == "YES\n"
+            assert main(["verify", str(col), str(out)]) == 0
+            assert capsys.readouterr().out == f"valid: width {k}\n"
 
 
 class TestCliCover:

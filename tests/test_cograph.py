@@ -7,6 +7,7 @@ import pytest
 from tclq.cograph import (
     PRODUCT,
     UNION,
+    Cotree,
     CotreeParseError,
     compute_ecc,
     compute_tcl,
@@ -21,6 +22,76 @@ from tclq.solver_dp import compute_tcl as dp_tcl
 from helpers import is_p4_free
 
 C4_TEXT = "(1 (0 a b) (0 c d))"
+
+
+def _recursive_parse(text):
+    """Recursive-descent parse and left-deep fold, the reference for the
+    iterative parser (within the interpreter's recursion limit)."""
+    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
+    if not tokens:
+        raise CotreeParseError("empty cotree expression")
+
+    def expr(pos):
+        if pos >= len(tokens):
+            raise CotreeParseError("unexpected end of input")
+        tok = tokens[pos]
+        if tok == ")":
+            raise CotreeParseError("unexpected ')'")
+        if tok != "(":
+            return ("leaf", tok), pos + 1
+        pos += 1
+        if pos >= len(tokens) or tokens[pos] in ("(", ")"):
+            raise CotreeParseError("internal node must start with a 0/1 label")
+        if tokens[pos] not in ("0", "1"):
+            raise CotreeParseError(f"unknown node label {tokens[pos]!r} (expected 0 or 1)")
+        lab, pos, children = int(tokens[pos]), pos + 1, []
+        while pos < len(tokens) and tokens[pos] != ")":
+            child, pos = expr(pos)
+            children.append(child)
+        if pos >= len(tokens):
+            raise CotreeParseError("missing ')'")
+        if len(children) < 2:
+            raise CotreeParseError(f"internal node has {len(children)} children, needs at least 2")
+        return (lab, children), pos + 1
+
+    ast, pos = expr(0)
+    if pos != len(tokens):
+        raise CotreeParseError(f"trailing input after expression: {tokens[pos]!r}")
+    kids, label, leaf_vertex, source, names = [], [], [], [], []
+    counter = [0]
+
+    def new_node(lab, lv, src):
+        kids.append(())
+        label.append(lab)
+        leaf_vertex.append(lv)
+        source.append(src)
+        return len(kids) - 1
+
+    def fold(lab, children, src):
+        t = new_node(lab, None, src)
+        left = build(children[0]) if len(children) == 2 else fold(lab, children[:-1], None)
+        kids[t] = (left, build(children[-1]))
+        return t
+
+    def build(node):
+        src = counter[0]
+        counter[0] += 1
+        if node[0] == "leaf":
+            if node[1] in names:
+                raise CotreeParseError(f"duplicate leaf {node[1]!r}")
+            names.append(node[1])
+            return new_node(None, len(names) - 1, src)
+        return fold(node[0], node[1], src)
+
+    build(ast)
+    return Cotree(tuple(kids), tuple(label), tuple(leaf_vertex), tuple(names), tuple(source))
+
+
+def _parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except CotreeParseError as exc:
+        return str(exc)
 
 
 def leaf_masks(tree):
@@ -90,6 +161,38 @@ class TestParse:
     def test_duplicate_leaf(self):
         with pytest.raises(CotreeParseError, match="duplicate"):
             parse_and_binarize("(0 a a)")
+
+    def test_matches_recursive_reference(self):
+        # same tree or same first error, on well-formed and damaged input
+        rng = random.Random(199)
+
+        def expr(depth):
+            if depth == 0 or rng.random() < 0.3:
+                return rng.choice("abcdefghij")
+            label = rng.choice(["0", "1", "0", "1", "2", ""])
+            return f"({label} " + " ".join(expr(depth - 1) for _ in range(rng.randint(1, 4))) + ")"
+
+        texts = ["", "(", ")", "( )", "(1", "(1 a", "(1 a b", "((1 a b))", "(1 (1 a))"]
+        for _ in range(3000):
+            text = expr(5)
+            damage = rng.random()
+            if damage < 0.1:
+                text = text[:rng.randrange(len(text) + 1)]
+            elif damage < 0.2:
+                text += rng.choice([")", "(", " x"])
+            texts.append(text)
+        texts += [text for text, _ in gen_corpora(223, "cograph", count=5, n=300)]
+        for text in texts:
+            assert _parse_outcome(parse_and_binarize, text) == \
+                _parse_outcome(_recursive_parse, text), text
+
+    def test_deep_nesting(self):
+        depth = 5000
+        text = "".join(f"({i % 2} v{i} " for i in range(1, depth + 1)) + "v0" + ")" * depth
+        t = parse_and_binarize(text)
+        assert t.n == depth + 1 and t.num_nodes == 2 * depth + 1
+        assert t.kids[0] == (1, 2) and t.leaf_vertex[1] == 0
+        assert compute_tcl(t)[0] == 1
 
 
 class TestRealize:

@@ -2,15 +2,19 @@
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
+from tclq import permutation
 from tclq.bitset import mask_of
 from tclq.cover import vcc
-from tclq.decomposition import validate, width
+from tclq.decomposition import AugmentedTreeDecomposition, validate, width
 from tclq.generators import gen_permutation
+from tclq.io import serialize_decomposition
 from tclq.permutation import (
     Scanline,
+    ScanlineGrid,
     build_scanline_graph,
     compute_tcl,
     cover_of_line_set,
@@ -19,6 +23,7 @@ from tclq.permutation import (
     diagram,
     inversion_graph,
     k_small_scanlines,
+    solve,
 )
 from tclq.solver_dp import compute_tcl as dp_tcl
 
@@ -239,3 +244,131 @@ class TestComputeTcl:
         for _ in range(40):
             pi = gen_permutation(rng, 7)
             assert compute_tcl(pi) == dp_tcl(inversion_graph(pi))[0]
+
+
+# The eager per-k scanline solver: every crossing set from its definition,
+# every k-small scanline and every arc built before the search, and k
+# raised one step at a time.  It is the reference for the grid solver.
+
+def _reference_graph(d, k):
+    nodes = [Scanline(t, b) for t in range(d.n + 1) for b in range(d.n + 1)
+             if cover_of_line_set(d, crossing_lines(d, Scanline(t, b))) <= k]
+    node_set = set(nodes)
+    cross = {s: crossing_lines(d, s) for s in nodes}
+    succ = {}
+    for s in nodes:
+        targets = [Scanline(t, s.bottom) for t in range(s.top + 1, d.n + 1)]
+        targets += [Scanline(s.top, b) for b in range(s.bottom + 1, d.n + 1)]
+        succ[s] = tuple(t for t in targets
+                        if t in node_set and cover_of_line_set(d, cross[s] | cross[t]) <= k)
+    return nodes, succ
+
+
+def _bfs_witness(d, succ):
+    """The path decomposition along the breadth-first path through succ."""
+    start, goal = Scanline(0, 0), Scanline(d.n, d.n)
+    if start == goal:
+        return AugmentedTreeDecomposition((-1,), (0,), ((),))
+    parent = {start: None}
+    queue = [start]
+    head = 0
+    while head < len(queue) and goal not in parent:
+        s = queue[head]
+        head += 1
+        for t in succ[s]:
+            if t not in parent:
+                parent[t] = s
+                queue.append(t)
+    if goal not in parent:
+        return None
+    path = [goal]
+    while parent[path[-1]] is not None:
+        path.append(parent[path[-1]])
+    path.reverse()
+    bags = tuple(crossing_lines(d, a) | crossing_lines(d, b) for a, b in zip(path, path[1:]))
+    covers = tuple(tuple(sorted(permutation._cover_piles(d, bag))) for bag in bags)
+    return AugmentedTreeDecomposition(tuple(range(-1, len(bags) - 1)), bags, covers)
+
+
+def _reference_decide(pi, k):
+    d = diagram(pi)
+    return _bfs_witness(d, _reference_graph(d, k)[1])
+
+
+def _reference_solve(pi):
+    if not pi:
+        return 0, _reference_decide(pi, 1)
+    k = 1
+    while _reference_decide(pi, k) is None:
+        k += 1
+    return k, _reference_decide(pi, k)
+
+
+def _seeded_permutations(seed, count, lo, hi):
+    rng = random.Random(seed)
+    return [gen_permutation(rng, rng.randint(lo, hi)) for _ in range(count)]
+
+
+class TestGridSolverMatchesReference:
+    def _check(self, pi):
+        want_k, want_d = _reference_solve(pi)
+        k, d = solve(pi)
+        assert k == want_k == compute_tcl(pi), pi
+        assert serialize_decomposition(d, len(pi)) == serialize_decomposition(want_d, len(pi)), pi
+
+    def test_exhaustive_up_to_seven(self):
+        for n in range(8):
+            for pi in itertools.permutations(range(1, n + 1)):
+                self._check(list(pi))
+
+    def test_seeded_eight_to_twenty_five(self):
+        for pi in _seeded_permutations(167, 30, 8, 25):
+            self._check(pi)
+
+    def test_decide_agrees_with_bfs_over_scanline_graph(self):
+        for pi in _seeded_permutations(173, 30, 1, 12):
+            d = diagram(pi)
+            tcl = compute_tcl(pi)
+            for k in range(1, tcl + 2):
+                ok, got = decide_tcl_at_most_k(pi, k)
+                want = _bfs_witness(d, build_scanline_graph(d, k).succ)
+                assert ok == (want is not None) == (k >= tcl), (pi, k)
+                if ok:
+                    assert serialize_decomposition(got, d.n) == serialize_decomposition(want, d.n)
+
+    def test_scanline_graph_matches_eager_build(self):
+        for pi in _seeded_permutations(179, 20, 1, 9):
+            d = diagram(pi)
+            for k in range(1, 4):
+                nodes, succ = _reference_graph(d, k)
+                w = build_scanline_graph(d, k)
+                assert list(w.nodes) == nodes == k_small_scanlines(d, k)
+                assert w.succ == succ
+
+
+class TestScanlineGrid:
+    def test_crossing_sets_match_definition(self):
+        for pi in [[]] + _seeded_permutations(181, 20, 1, 15):
+            d = diagram(pi)
+            grid = ScanlineGrid(d)
+            for t in range(d.n + 1):
+                for b in range(d.n + 1):
+                    assert grid.cross[t][b] == crossing_lines(d, Scanline(t, b))
+
+    def test_cover_piles_once_per_line_set(self, monkeypatch):
+        calls = Counter()
+        piles = permutation._cover_piles
+
+        def counting(d, lines):
+            calls[lines] += 1
+            return piles(d, lines)
+
+        monkeypatch.setattr(permutation, "_cover_piles", counting)
+        for pi in _seeded_permutations(191, 10, 10, 25):
+            calls.clear()
+            solve(pi)
+            assert calls and max(calls.values()) == 1
+
+    def test_solve_empty(self):
+        k, d = solve([])
+        assert k == 0 and d.num_nodes == 1 and d.bags == (0,)
