@@ -11,7 +11,12 @@ coloring mode; its signed sums over all 2^n subsets run over a histogram
 of a table's distinct values.  These operations refuse a graph above
 TABLE_MAX_N vertices before allocating anything.  The CoverOracle is the
 sparse counterpart for the solvers: it solves only the sets a caller
-asks for, one at a time, by backtracking, and memoizes them.
+asks for, one at a time, by backtracking, and memoizes them.  Both cover
+sources also answer at_most(s, k), vcc(G[s]) <= k; the oracle does so
+from a greedy independent-set lower bound and at most one search at k.
+A search at a fixed k reads nothing but the graph, s and k, so the
+exact solve may start at any lower bound and still returns the
+partition that counting up from 1 finds.
 """
 
 import math
@@ -61,6 +66,9 @@ class CoverTable:
 
     def value(self, s: int) -> int:
         return self.values[s]
+
+    def at_most(self, s: int, k: int) -> bool:
+        return self.values[s] <= k
 
     def partition(self, s: int) -> List[int]:
         """Disjoint cliques covering s, exactly values[s] of them."""
@@ -138,35 +146,75 @@ def lawler_cover(g: Graph) -> Tuple[int, List[int]]:
     return value(g.full), _choice_walk(choice, g.full)
 
 
+def _independent_lower_bound(adj: List[int], s: int) -> int:
+    """The size of an independent set of G[s], taken lowest vertex first:
+    a lower bound on vcc(G[s]), since each clique holds at most one of
+    its vertices."""
+    count = 0
+    while s:
+        low = s & -s
+        s &= ~(adj[low.bit_length() - 1] | low)
+        count += 1
+    return count
+
+
 class CoverOracle:
     """vcc and a minimum clique partition of single sets, on request.
 
     Each set is solved once by vcc and memoized, so the caller pays for
     the sets it reads and never for a table over all 2^n subsets.
+    at_most(s, k) decides vcc(s) <= k without the exact value: from the
+    memo, else from an interval [lo, hi] kept per set, which starts at
+    [greedy independent set, |s|] and narrows with each search at a
+    single k.  An exact solve deepens from the set's lo; vcc gives the
+    same partition from any start up to the answer.
     """
 
-    __slots__ = ("g", "memo")
+    __slots__ = ("g", "memo", "bounds")
 
     def __init__(self, g: Graph):
         self.g = g
         self.memo: Dict[int, Tuple[int, Tuple[int, ...]]] = {}
+        self.bounds: Dict[int, List[int]] = {}
 
     def _solve(self, s: int) -> Tuple[int, Tuple[int, ...]]:
         hit = self.memo.get(s)
         if hit is None:
-            k, classes = vcc(self.g, s)
+            known = self.bounds.pop(s, None)
+            lo = known[0] if known else _independent_lower_bound(self.g.adj, s)
+            k, classes = vcc(self.g, s, lo)
             hit = self.memo[s] = (k, tuple(classes))
         return hit
 
     def value(self, s: int) -> int:
         return self._solve(s)[0]
 
+    def at_most(self, s: int, k: int) -> bool:
+        """vcc(s) <= k, with at most one backtracking search, at k."""
+        hit = self.memo.get(s)
+        if hit is not None:
+            return hit[0] <= k
+        known = self.bounds.get(s)
+        if known is None:
+            known = self.bounds[s] = [_independent_lower_bound(self.g.adj, s), s.bit_count()]
+        lo, hi = known
+        if k < lo:
+            return False
+        if k >= hi:
+            return True
+        classes = _partition_within(self.g.adj, bit_list(s), k)
+        if classes is None:
+            known[0] = k + 1
+            return False
+        known[1] = len(classes)
+        return True
+
     def partition(self, s: int) -> Tuple[int, ...]:
         """Disjoint cliques covering s, exactly value(s) of them."""
         return self._solve(s)[1]
 
 
-# Anything with value(s) and partition(s) over the same graph.
+# Anything with value(s), at_most(s, k) and partition(s) over the same graph.
 Cover = Union[CoverOracle, CoverTable]
 
 
@@ -326,36 +374,51 @@ def ie_chromatic_with_construction(g: Graph) -> Tuple[int, List[int]]:
     return k, coloring
 
 
-def vcc(g: Graph, s: int) -> Tuple[int, List[int]]:
+def _partition_within(adj: List[int], verts: List[int], k: int) -> Optional[List[int]]:
+    """The first partition of verts into at most k cliques that the
+    backtracker finds, or None if there is none.
+
+    Vertices go in the order of verts, each into the first class that
+    takes it, opening one new class at a time.  The search reads nothing
+    but (adj, verts, k), so a search at a fixed k returns the same
+    partition whatever searches ran before it.
+    """
+    m = len(verts)
+    classes = [0] * k
+
+    def bt(i: int, used: int) -> bool:
+        if i == m:
+            return True
+        v = verts[i]
+        vbit = 1 << v
+        cap = used + 1 if used < k else k
+        for c in range(cap):
+            if classes[c] & ~adj[v]:
+                continue
+            classes[c] |= vbit
+            if bt(i + 1, max(used, c + 1)):
+                return True
+            classes[c] &= ~vbit
+        return False
+
+    return [c for c in classes if c] if bt(0, 0) else None
+
+
+def vcc(g: Graph, s: int, start: int = 1) -> Tuple[int, List[int]]:
     """Minimum disjoint clique partition of s, by direct backtracking.
 
     Independent of the subset table on purpose: it serves as the
     second route for cross-checks and for re-covering decomposition
-    bags.  Returns (count, class masks).
+    bags.  The search runs at k = start, start + 1, ... until one
+    succeeds, so start must be a lower bound on the answer; every start
+    up to the answer gives the same result.  Returns (count, class masks).
     """
     verts = bit_list(s)
     m = len(verts)
     if m == 0:
         return 0, []
-    adj = g.adj
-    for k in range(1, m + 1):
-        classes = [0] * k
-
-        def bt(i: int, used: int) -> bool:
-            if i == m:
-                return True
-            v = verts[i]
-            vbit = 1 << v
-            cap = used + 1 if used < k else k
-            for c in range(cap):
-                if classes[c] & ~adj[v]:
-                    continue
-                classes[c] |= vbit
-                if bt(i + 1, max(used, c + 1)):
-                    return True
-                classes[c] &= ~vbit
-            return False
-
-        if bt(0, 0):
-            return k, [c for c in classes if c]
+    for k in range(start, m + 1):
+        classes = _partition_within(g.adj, verts, k)
+        if classes is not None:
+            return k, classes
     return m, [1 << v for v in verts]

@@ -342,14 +342,22 @@ def solve_per_component(
     g: Graph, solve_connected: Callable[[Graph], Tuple[int, AugmentedTreeDecomposition]],
 ) -> Tuple[int, AugmentedTreeDecomposition]:
     """tcl of g with a witness from a solver for connected graphs: the
-    maximum over components, and the per-component trees joined into one."""
+    maximum over components, and the per-component trees joined into one.
+
+    A clique component, an isolated vertex included, is answered without
+    the solver: tcl 1, one bag covered by one clique, which is the
+    witness both solvers give it."""
     if g.n == 0:
         return 0, AugmentedTreeDecomposition((-1,), (0,), ((),))
     parts: List[AugmentedTreeDecomposition] = []
     best = 0
     for comp in g.components_within(g.full):
-        sub, verts = g.induced_subgraph(comp)
-        k, atd = solve_connected(sub)
+        if g.is_clique(comp):
+            k, atd = 1, AugmentedTreeDecomposition((-1,), (comp,), ((comp,),))
+        else:
+            sub, verts = g.induced_subgraph(comp)
+            k, atd = solve_connected(sub)
+            atd = relabel(atd, verts)
         best = max(best, k)
-        parts.append(relabel(atd, verts))
+        parts.append(atd)
     return best, combine_forest(parts)

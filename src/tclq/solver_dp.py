@@ -22,10 +22,14 @@ vcc(V) > k that triangulation is not complete, every edge of its clique
 tree is a minimal separator S of G, and the triangulation's bags
 restricted to S union c witness each entry (S, c).
 
-Cover values and bag partitions come from one source with value(s) and
-partition(s): a memoized CoverOracle, which solves only the sets the
-recursion reads, or a dense CoverTable.  Nothing on the solve path is
-indexed by all 2^n subsets.
+Every cover test above has the form vcc(s) <= k, so the recursion asks
+its cover source at_most(s, k) and never for a count above k; bag
+partitions come from partition(s) of the same source.  The source is a
+CoverOracle, which decides at_most from bounds and at most one search
+at k, or a dense CoverTable.  The oracle runs an exact vcc only for the
+bags of the witness, and that search at k = vcc(bag) alone returns the
+partition counting up from 1 would, so the witness is unchanged.
+Nothing on the solve path is indexed by all 2^n subsets.
 """
 
 from dataclasses import dataclass
@@ -86,7 +90,7 @@ def decide_tcl_at_most_k(
     """Decide tcl(G) <= k for connected G; on yes, return a sanitized
     witness decomposition of width at most k.
 
-    cover supplies value(s) and partition(s) (a CoverOracle or a
+    cover supplies at_most(s, k) and partition(s) (a CoverOracle or a
     CoverTable of G).  The optional entries dict collects the processed
     block entries for instrumentation.  separators are the root
     candidates, the minimal separators of G in (size, mask) order; when
@@ -96,8 +100,8 @@ def decide_tcl_at_most_k(
         raise ValueError("k must be at least 1")
     if not g.is_connected():
         raise ValueError("decision procedure requires a connected graph")
-    value = cover.value
-    if value(g.full) <= k:
+    at_most = cover.at_most
+    if at_most(g.full, k):
         atd = _to_decomposition(g, cover, _WNode(g.full, []))
         if g.n:
             atd = sanitize(g, atd, cover)
@@ -113,7 +117,7 @@ def decide_tcl_at_most_k(
         part = sep | comp
         ent = BlockEntry(sep, part, part.bit_count())
         entries[key] = ent
-        if value(part) <= k:
+        if at_most(part, k):
             ent.answer, ent.witness = True, _WNode(part, [])
             return ent.witness
         nb = g.neighbors(comp)
@@ -124,7 +128,7 @@ def decide_tcl_at_most_k(
                 return ent.witness
         for v in bits(comp):
             hub = sep | (1 << v)
-            if value(hub) > k:
+            if not at_most(hub, k):
                 continue
             subs = g.components_within(comp & ~(1 << v))
             kids = []
@@ -143,7 +147,7 @@ def decide_tcl_at_most_k(
     if separators is None:
         separators = _root_order(enumerate_minimal_separators(g))
     for s in separators:
-        if value(s) > k:
+        if not at_most(s, k):
             continue
         kids = []
         for c in g.components_within(g.full & ~s):

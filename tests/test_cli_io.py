@@ -7,7 +7,7 @@ import tracemalloc
 
 import pytest
 
-from tclq import permutation
+from tclq import permutation, solver_dp, solver_pmc
 from tclq.bitset import mask_of
 from tclq.cli import main
 from tclq.cograph import cotree_to_graph, parse_and_binarize
@@ -276,6 +276,25 @@ class TestCliSolve:
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["solve", "--input", str(tmp_path / "nope.col")]) == 2
+
+    @pytest.mark.parametrize("algo", ["dp", "pmc"])
+    def test_clique_components_skip_the_solver(self, algo, tmp_path, capsys, monkeypatch):
+        # isolated vertices and a triangle: one bag and one clique each,
+        # hung under the first component's bag, and no connected solver
+        n = 4000
+        col = tmp_path / "g.col"
+        col.write_text(f"p edge {n} 3\ne 2 3\ne 3 4\ne 2 4\n")
+        forbid(monkeypatch, solver_dp._tcl_connected, "solved a clique component")
+        forbid(monkeypatch, solver_pmc._tcl_connected, "solved a clique component")
+        out = tmp_path / "d.tcd"
+        assert main(["solve", "--input", str(col), "--algo", algo, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == "tcl 1\n"
+        nodes = n - 2
+        want = [f"tcd 1 {nodes} {n}", "b 1 1", "b 2 2 3 4"]
+        want += [f"b {t} {t + 2}" for t in range(3, nodes + 1)]
+        want += ["c 1 1", "c 2 2 3 4"] + [f"c {t} {t + 2}" for t in range(3, nodes + 1)]
+        want += [f"t 1 {t}" for t in range(2, nodes + 1)]
+        assert out.read_text() == "\n".join(want) + "\n"
 
 
 class TestCliCograph:

@@ -404,6 +404,66 @@ class TestVcc:
             assert vcc(g, s)[0] == t.values[s]
 
 
+class TestAtMost:
+    """at_most(s, k) decides vcc(s) <= k and leaves every partition as
+    vcc gives it, whatever order the threshold and exact queries come in."""
+
+    def graphs(self, graphs_to_6):
+        rng = random.Random(113)
+        return list(graphs_to_6) + [gen_random(rng, n, p)
+                                    for n in range(8, 13) for p in (0.3, 0.6)]
+
+    def check(self, g, source, exact_first, rng):
+        for s in range(1 << g.n):
+            want, classes = vcc(g, s)
+            ks = list(range(s.bit_count() + 2))
+            rng.shuffle(ks)
+            if exact_first:
+                assert source.value(s) == want
+            assert [source.at_most(s, k) for k in ks] == [want <= k for k in ks], (g, s)
+            assert source.value(s) == want
+            if isinstance(source, CoverOracle):
+                assert list(source.partition(s)) == classes
+
+    @pytest.mark.parametrize("exact_first", [False, True])
+    def test_oracle(self, graphs_to_6, exact_first):
+        rng = random.Random(127)
+        for g in self.graphs(graphs_to_6):
+            self.check(g, CoverOracle(g), exact_first, rng)
+
+    @pytest.mark.parametrize("exact_first", [False, True])
+    def test_table(self, graphs_to_6, exact_first):
+        rng = random.Random(131)
+        for g in self.graphs(graphs_to_6):
+            self.check(g, lawler_table(g), exact_first, rng)
+
+    def test_one_search_per_query(self, monkeypatch):
+        # a threshold query searches at k alone, and only inside [lo, hi)
+        searched = []
+        search = cover._partition_within
+
+        def counting(adj, verts, k):
+            searched.append(k)
+            return search(adj, verts, k)
+
+        monkeypatch.setattr(cover, "_partition_within", counting)
+        g = cycle(7)
+        oracle = CoverOracle(g)
+        assert [oracle.at_most(g.full, k) for k in (2, 3, 4, 3, 2, 7)] == \
+            [False, False, True, False, False, True]
+        # lo = 3 from {0, 2, 4}: k = 2 needs no search, k = 3 and 4 one each
+        assert searched == [3, 4]
+        assert oracle.value(g.full) == 4 and searched == [3, 4, 4]
+
+    def test_start_at_any_lower_bound(self, graphs_to_6):
+        rng = random.Random(137)
+        for g in self.graphs(graphs_to_6):
+            for s in rng.sample(range(1 << g.n), min(16, 1 << g.n)):
+                want = vcc(g, s)
+                for start in range(want[0] + 1):
+                    assert vcc(g, s, start) == want
+
+
 class TestCapacity:
     def test_table_ops_refuse_above_the_table_limit(self):
         assert TABLE_MAX_N >= 18

@@ -1,10 +1,11 @@
 """Separator dynamic program: decision, optimization, block instrumentation."""
 
+import hashlib
 import random
 
 import pytest
 
-from tclq import solver_dp
+from tclq import cover, io, solver_dp
 from tclq.cover import CapacityError, CoverOracle, lawler_table
 from tclq.decomposition import validate, width
 from tclq.generators import gen_random
@@ -148,6 +149,51 @@ class TestComputeTcl:
     def test_capacity(self):
         with pytest.raises(CapacityError):
             compute_tcl(path(65))
+
+
+class TestThresholdQueries:
+    def test_exact_vcc_only_for_bags_read(self, monkeypatch):
+        # the DP asks at_most for its tests, so an exact vcc runs only
+        # for a set whose partition a witness bag reads
+        solved, read = [], set()
+        real_vcc, real_partition = cover.vcc, CoverOracle.partition
+
+        def counting_vcc(g, s, start=1):
+            solved.append(s)
+            return real_vcc(g, s, start)
+
+        def recording_partition(self, s):
+            read.add(s)
+            return real_partition(self, s)
+
+        monkeypatch.setattr(cover, "vcc", counting_vcc)
+        monkeypatch.setattr(CoverOracle, "partition", recording_partition)
+        g = gen_random(random.Random("dp-threshold:14"), 14, 0.6, connected=True)
+        k, d = compute_tcl(g)
+        assert_good_witness(g, d, expected_width=k)
+        assert solved and len(solved) <= len(read)
+
+    # sha256 of io.serialize_decomposition over compute_tcl, for eight
+    # seeded G(n, p) per n, computed on the separator DP before it asked
+    # at_most instead of the exact vcc: the witnesses are unchanged
+    TCD_SHA256 = {
+        8: "6a4c45740695fbc132be4c5942ccbf2f5a9716fa072f7b7dd89046ead7b76189",
+        9: "69c58ecd72d4246883d507b6c5bbefaebabc457c3203d1962570977417613de1",
+        10: "2df5b4eeb76281b4310f8961bc74ebfbb2e88325246c06e9a46f6f4e4233aafd",
+        11: "0595347df5948cc1eb33b85142b1b45daf8e95bf74489ffa626c5feef5c15972",
+        12: "7a5ef8bfb14da69c1d01230c84a202e32b4acf93ccd423bcd354298871645e17",
+        13: "902d467f37f766030c52bb962b6c38377600f8988147208d766b9b833bc22e5f",
+        14: "295341dc4a6e098fc293f9c474a5a9434d641ef62e1af3202d1af8d034160a46",
+    }
+
+    @pytest.mark.parametrize("n", range(8, 15))
+    def test_witness_bytes_pinned(self, n):
+        rng = random.Random(f"dp-tcd-pin:{n}")
+        h = hashlib.sha256()
+        for p in (0.2, 0.4, 0.6, 0.8) * 2:
+            g = gen_random(rng, n, p)
+            h.update(io.serialize_decomposition(compute_tcl(g)[1], g.n).encode())
+        assert h.hexdigest() == self.TCD_SHA256[n]
 
 
 class TestDpRouteBuildsNoSubsetTable:
