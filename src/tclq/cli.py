@@ -55,13 +55,7 @@ def _solve(args) -> int:
         if args.algo != "auto":
             raise UsageError("--algo applies to --input graphs only")
         pi = io.parse_permutation(_read(args.perm))
-        if args.k is not None:
-            ok, witness = permutation.decide_tcl_at_most_k(pi, args.k)
-            if ok and args.out is not None:
-                _write(args.out, io.serialize_decomposition(witness, len(pi)))
-            print("YES" if ok else "NO")
-            return 0 if ok else 1
-        k, witness = permutation.solve(pi) if args.out else (permutation.compute_tcl(pi), None)
+        k, witness = permutation.solve(pi)
         return _report(args, k, witness, len(pi))
 
     g = io.parse_graph(_read(args.input))
@@ -107,11 +101,21 @@ def _cover(args) -> int:
     return 0
 
 
+class _OtherVertexCount(Exception):
+    pass
+
+
 def _verify(args) -> int:
     g = io.parse_graph(_read(args.graph))
-    d, n = io.parse_decomposition(_read(args.decomposition))
-    if n != g.n:
-        print(f"invalid: decomposition is over {n} vertices, graph has {g.n}")
+
+    def check_n(n: int) -> None:
+        if n != g.n:
+            raise _OtherVertexCount(n)
+
+    try:
+        d, _ = io.parse_decomposition(_read(args.decomposition), check_n=check_n)
+    except _OtherVertexCount as exc:
+        print(f"invalid: decomposition is over {exc.args[0]} vertices, graph has {g.n}")
         return 1
     report = validate(g, d)
     if report.ok:

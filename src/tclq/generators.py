@@ -31,6 +31,8 @@ def gen_reduction_H(g: Graph, apexes: int) -> Graph:
 def gen_random(rng: random.Random, n: int, p: float = 0.5,
                connected: bool = False) -> Graph:
     """Erdos-Renyi G(n, p); with connected=True, resample until connected."""
+    if not 0 <= p <= 1:
+        raise ValueError(f"edge probability must be in [0, 1], got {p}")
     while True:
         edges = [(u, v) for u, v in combinations(range(n), 2) if rng.random() < p]
         g = Graph.from_edges(n, edges)
@@ -60,6 +62,8 @@ def gen_ktree(rng: random.Random, n: int, k: int) -> Graph:
 
 
 def gen_permutation(rng: random.Random, n: int) -> List[int]:
+    if n < 1:
+        raise ValueError("need n >= 1")
     pi = list(range(1, n + 1))
     rng.shuffle(pi)
     return pi

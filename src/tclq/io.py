@@ -74,12 +74,15 @@ def serialize_graph(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_decomposition(text: str) -> Tuple[AugmentedTreeDecomposition, int]:
+def parse_decomposition(text: str, check_n: Optional[Callable[[int], None]] = None
+                        ) -> Tuple[AugmentedTreeDecomposition, int]:
     """Format: `tcd <width> <num_nodes> <n>` header, `b <id> <v...>` bags,
     `c <id> <v...>` cliques, `t <i> <j>` tree edges, `#` comments.
 
     Node ids are 1-indexed; node 1 is the root.  Returns (decomposition,
-    n); the header width must match the cover lines.
+    n); the header width must match the cover lines.  check_n, if given,
+    gets the header n before any bag or cover line becomes a mask, and
+    raises to refuse the decomposition.
     """
     header = None
     header_line = 1
@@ -104,6 +107,8 @@ def parse_decomposition(text: str) -> Tuple[AugmentedTreeDecomposition, int]:
             header_line = lineno
             if nums[1] < 1 or nums[2] < 0 or nums[0] < 0:
                 raise ParseError("bad header counts", lineno)
+            if check_n is not None:
+                check_n(nums[2])
             continue
         if header is None:
             raise ParseError("content before tcd header", lineno)

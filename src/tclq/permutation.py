@@ -4,40 +4,32 @@ A permutation pi of 1..n is drawn as n lines joining top position i to
 bottom position pi^{-1}(i); vertex i-1 is line i, and two lines are
 adjacent iff they cross.  A scanline is a pair of gap indices (top,
 bottom) in 0..n, sitting between line endpoints, and its crossing set
-holds the lines with one endpoint on each side of it.
+holds the lines with one endpoint on each side of it.  The method follows
+Bodlaender, Kloks and Kratsch ("Treewidth and pathwidth of permutation
+graphs", SIAM J. Discrete Math. 1995), with clique covers for bag sizes.
 
-Arcs join scanlines that share one gap index while the other strictly
-increases, and an arc's candidate component is the union of the two
-crossing sets (no line fits strictly between scanlines that share a gap
-index).  The candidate components along a monotone path from (0,0) to
-(n,n) form a path decomposition, and the cover of an arc is the clique
-cover number of its candidate component.  So tcl(G[pi]) is the least
-k >= 1 with such a path whose arcs all have cover <= k: the bottleneck
-path value, floored at 1 (0 for the empty permutation).
+A unit step moves one gap index up by one; its candidate component is
+the union of its two ends' crossing sets.  The candidate components
+along a monotone unit-step path from (0,0) to (n,n) form a path
+decomposition: a line is in the bags from the step passing its first
+endpoint to the step passing its second, a nonempty run, and if the runs
+of lines u and v were disjoint, a scanline between them would have u
+wholly on its left and v wholly on its right, so u and v would not cross.
+So tcl(G[pi]) is the bottleneck value over such paths of the steps'
+clique cover numbers, floored at 1 (0 for the empty permutation).  Paths
+that jump a gap index by more need no search: each unit step of a jump
+has a candidate component inside the jump's, and the clique cover number
+is monotone under subsets.
 
-The decision procedure of Bodlaender, Kloks and Kratsch also asks every
-scanline on the path to be k-small (crossing set coverable by <= k
-cliques).  That is implied: an arc's candidate component contains both
-endpoints' crossing sets, and the clique cover number is monotone under
-subsets (a cover of a set restricts to a cover of any subset), so an arc
-of cover <= k has k-small endpoints.
-
-Along one direction the candidate component only grows: from (t, b) to
-(t', b) it is the crossing set of (t, b) plus the lines with tops in
-t+1..t', and the same holds for bottoms.  So the arc covers out of, or
-into, a scanline are nondecreasing in the distance along each
-direction, the lazy successor lists stop a direction at the first arc
-that is too large, and the bottleneck DP needs only the unit steps.
-
-``ScanlineGrid`` holds, for one permutation, the crossing sets of all
-(n+1)^2 scanlines and a pile cover per distinct line set.  Per line set
-``_cover_piles`` runs at most once.  The DP reads the 2n(n+1) unit
-steps, and the witness search at most the O(n^3) arcs.
+The witness is the bottleneck DP's own path.  A bag contained in a
+neighbouring bag is dropped: its vertices all lie in that neighbour, so
+every vertex still sits in consecutive bags, every edge in some bag, and
+the width does not grow.
 """
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .decomposition import AugmentedTreeDecomposition
 from .graph import Graph
@@ -52,7 +44,6 @@ class Scanline(NamedTuple):
 class PermutationDiagram:
     pi: Tuple[int, ...]
     pi_inverse: Tuple[int, ...]  # pi_inverse[v] = 1-indexed position of value v+1
-    lines: Tuple[Tuple[int, int], ...]  # vertex v -> (top, bottom) positions, 1-indexed
 
     @property
     def n(self) -> int:
@@ -66,8 +57,7 @@ def diagram(pi: Sequence[int]) -> PermutationDiagram:
     inv = [0] * n
     for pos, value in enumerate(pi, start=1):
         inv[value - 1] = pos
-    lines = tuple((v + 1, inv[v]) for v in range(n))
-    return PermutationDiagram(tuple(pi), tuple(inv), lines)
+    return PermutationDiagram(tuple(pi), tuple(inv))
 
 
 def inversion_graph(pi: Sequence[int]) -> Graph:
@@ -143,6 +133,7 @@ class ScanlineGrid:
             cross.append([m ^ bit for m in cross[-1]])
         self.cross = cross
         self._piles: Dict[int, List[int]] = {}
+        self.best: Optional[List[List[int]]] = None  # filled by tcl()
 
     def piles(self, lines: int) -> List[int]:
         """The pile partition of a line set, computed once per set."""
@@ -151,36 +142,14 @@ class ScanlineGrid:
             p = self._piles[lines] = _cover_piles(self.d, lines)
         return p
 
-    def cover(self, lines: int) -> int:
-        return len(self.piles(lines))
-
-    def successors(self, s: Scanline, k: int) -> Iterator[Scanline]:
-        """Arc targets of s at k: top-advancing targets first, then
-        bottom-advancing ones, each in increasing order."""
-        n = self.d.n
-        start = self.cross[s.top][s.bottom]
-        m = start
-        for t in range(s.top + 1, n + 1):
-            m |= self.top_line[t - 1]
-            if self.cover(m) > k:
-                break  # every farther top has a superset candidate component
-            yield Scanline(t, s.bottom)
-        m = start
-        for b in range(s.bottom + 1, n + 1):
-            m |= self.bottom_line[b - 1]
-            if self.cover(m) > k:
-                break
-            yield Scanline(s.top, b)
-
     def tcl(self) -> int:
-        """Min over monotone (0,0) -> (n,n) paths of the largest arc cover,
-        floored at 1 (0 when n = 0).
+        """Min over monotone (0,0) -> (n,n) unit-step paths of the largest
+        step cover, floored at 1 (0 when n = 0).
 
-        Unit steps suffice: each unit step of a jump's run has a candidate
-        component inside the jump's, so replacing a jump by its unit steps
-        never raises a path's largest arc cover.  best[t][b] is the
-        unfloored value for paths ending at (t, b), filled in grid order
-        from the two unit-step predecessors.
+        best[t][b] is the unfloored value for paths ending at (t, b),
+        filled in grid order from the two unit-step predecessors and kept
+        in ``self.best`` for ``witness``.  The bottom step replaces the
+        top step only when it is strictly better.
         """
         n = self.d.n
         if n == 0:
@@ -199,93 +168,33 @@ class ScanlineGrid:
                     cur = min(cur, max(row[b - 1],
                                        len(piles(cross[t][b] | self.bottom_line[b - 1]))))
                 row[b] = cur
+        self.best = best
         return max(1, best[n][n])
 
-    def path(self, k: int) -> Optional[List[Scanline]]:
-        """Breadth-first path (0,0) -> (n,n) over the arcs of cover <= k,
-        with successors computed as each scanline is dequeued."""
-        n = self.d.n
-        start, goal = Scanline(0, 0), Scanline(n, n)
-        parent: Dict[Scanline, Optional[Scanline]] = {start: None}
-        queue = [start]
-        head = 0
-        while head < len(queue) and goal not in parent:
-            s = queue[head]
-            head += 1
-            for t in self.successors(s, k):
-                if t not in parent:
-                    parent[t] = s
-                    queue.append(t)
-                    if t == goal:
-                        break
-        if goal not in parent:
-            return None
-        path = [goal]
-        while parent[path[-1]] is not None:
-            path.append(parent[path[-1]])
-        path.reverse()
-        return path
-
-    def decomposition(self, k: int) -> Optional[AugmentedTreeDecomposition]:
-        """A path decomposition of width <= k, or None if tcl > k.  The bags
-        are the candidate components along ``path(k)``; covers are the
-        pile partitions."""
-        path = self.path(k)
-        if path is None:
-            return None
-        if len(path) == 1:  # n == 0
-            return AugmentedTreeDecomposition((-1,), (0,), ((),))
-        cross = self.cross
-        bags = tuple(cross[a.top][a.bottom] | cross[b.top][b.bottom]
-                     for a, b in zip(path, path[1:]))
-        covers = tuple(tuple(sorted(self.piles(bag))) for bag in bags)
-        parents = tuple(i - 1 for i in range(len(bags)))
-        return AugmentedTreeDecomposition(parents, bags, covers)
-
-
-def k_small_scanlines(d: PermutationDiagram, k: int) -> List[Scanline]:
-    """All canonical scanlines whose crossing set is coverable by <= k cliques."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    return _k_small(ScanlineGrid(d), k)
-
-
-def _k_small(grid: ScanlineGrid, k: int) -> List[Scanline]:
-    n = grid.d.n
-    return [Scanline(t, b) for t in range(n + 1) for b in range(n + 1)
-            if grid.cover(grid.cross[t][b]) <= k]
-
-
-@dataclass(frozen=True)
-class ScanlineGraph:
-    k: int
-    nodes: Tuple[Scanline, ...]
-    succ: Dict[Scanline, Tuple[Scanline, ...]]
-
-    def arc_set(self) -> set:
-        return {(s, t) for s, ts in self.succ.items() for t in ts}
-
-
-def build_scanline_graph(d: PermutationDiagram, k: int) -> ScanlineGraph:
-    """The whole scanline graph at k: arcs go between scanlines sharing one
-    gap index, the other strictly increasing, whenever the candidate
-    component is coverable by <= k cliques."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    grid = ScanlineGrid(d)
-    nodes = _k_small(grid, k)
-    return ScanlineGraph(k, tuple(nodes), {s: tuple(grid.successors(s, k)) for s in nodes})
-
-
-def decide_tcl_at_most_k(
-    pi: Sequence[int], k: int
-) -> Tuple[bool, Optional[AugmentedTreeDecomposition]]:
-    """Reachability (0,0) -> (n,n) over the arcs of cover <= k, with a
-    path decomposition witness on yes."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    witness = ScanlineGrid(diagram(pi)).decomposition(k)
-    return witness is not None, witness
+    def witness(self) -> AugmentedTreeDecomposition:
+        """The path decomposition of width tcl along the path of ``tcl()``,
+        which must run first.  Walking back from (n, n), the top step is
+        taken whenever it attains best[t][b], as in the DP, and no kept
+        bag is contained in a neighbour.  Covers are the pile partitions.
+        """
+        best, cross, piles = self.best, self.cross, self.piles
+        kept: List[int] = []
+        t = b = self.d.n
+        while t or b:
+            bag = cross[t][b] | self.top_line[t - 1] if t else 0
+            if t and max(best[t - 1][b], len(piles(bag))) == best[t][b]:
+                t -= 1
+            else:
+                bag = cross[t][b] | self.bottom_line[b - 1]
+                b -= 1
+            if kept and bag & ~kept[-1] == 0:
+                continue
+            while kept and kept[-1] & ~bag == 0:
+                kept.pop()
+            kept.append(bag)
+        kept = kept[::-1] or [0]  # the empty permutation has one empty bag
+        covers = tuple(tuple(sorted(piles(bag))) for bag in kept)
+        return AugmentedTreeDecomposition(tuple(range(-1, len(kept) - 1)), tuple(kept), covers)
 
 
 def compute_tcl(pi: Sequence[int]) -> int:
@@ -296,8 +205,4 @@ def compute_tcl(pi: Sequence[int]) -> int:
 def solve(pi: Sequence[int]) -> Tuple[int, AugmentedTreeDecomposition]:
     """tcl(G[pi]) and a path decomposition of that width, from one grid."""
     grid = ScanlineGrid(diagram(pi))
-    k = grid.tcl()
-    witness = grid.decomposition(max(k, 1))
-    if witness is None:
-        raise RuntimeError(f"no scanline path at the bottleneck value {k}")
-    return k, witness
+    return grid.tcl(), grid.witness()

@@ -20,8 +20,8 @@ from tclq.decomposition import sanitize, validate, width
 from tclq.generators import gen_corpora, gen_permutation, gen_random, gen_reduction_H
 from tclq.oracle import OracleBudget, brute_chromatic, is_chordal, tcl_oracle
 from tclq.permutation import compute_tcl as perm_tcl
-from tclq.permutation import decide_tcl_at_most_k as perm_decide
 from tclq.permutation import inversion_graph
+from tclq.permutation import solve as perm_solve
 from tclq.solver_dp import compute_tcl as dp_tcl
 from tclq.solver_dp import decide_tcl_at_most_k as dp_decide
 from tclq.solver_pmc import compute_tcl as pmc_tcl
@@ -116,20 +116,17 @@ def test_cotree_fold_matches_general_solver_single_pass():
 
 
 def test_scanline_solver_matches_general_solver():
-    """Scanline reachability agrees with the separator DP on the
-    inversion graph, and every accepted path converts to a valid
-    decomposition of width at most k."""
+    """The scanline solver agrees with the separator DP on the inversion
+    graph, and its witness is a valid decomposition of width tcl."""
     rng = random.Random(606)
     perms = [list(p) for n in range(1, 8) for p in itertools.permutations(range(1, n + 1))]
     perms += [gen_permutation(rng, 9) for _ in range(200)]
     for pi in perms:
-        k = perm_tcl(pi)
+        k, w = perm_solve(pi)
         g = inversion_graph(pi)
-        assert k == dp_tcl(g)[0]
-        ok, w = perm_decide(pi, k)
-        assert ok and w is not None
+        assert k == perm_tcl(pi) == dp_tcl(g)[0]
         assert validate(g, w).ok
-        assert width(w) <= k
+        assert width(w) == k
 
 
 def test_width_one_exactly_for_chordal_graphs(graphs_to_6, graphs_7, graphs_8):
@@ -161,10 +158,8 @@ def test_witness_cliques_and_sanitize_properties(connected_to_6):
         emitted.append((g, wd, k))
         emitted.append((g, wp, kp))
     for pi in itertools.permutations(range(1, 6)):
-        pi = list(pi)
-        ok, w = perm_decide(pi, perm_tcl(pi))
-        assert ok
-        emitted.append((inversion_graph(pi), w, None))
+        k, w = perm_solve(list(pi))
+        emitted.append((inversion_graph(pi), w, k))
     for g, d, k in emitted:
         assert_good_witness(g, d, expected_width=k)
 

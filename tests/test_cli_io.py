@@ -7,7 +7,7 @@ import tracemalloc
 
 import pytest
 
-from tclq import permutation, solver_dp, solver_pmc
+from tclq import io, solver_dp, solver_pmc
 from tclq.bitset import mask_of
 from tclq.cli import main
 from tclq.cograph import cotree_to_graph, parse_and_binarize
@@ -135,6 +135,18 @@ class TestDecompositionFormat:
     def test_parse_errors(self, text, msg):
         with pytest.raises(ParseError, match=msg):
             parse_decomposition(text)
+
+    def test_check_n_sees_the_header_n_first(self):
+        seen = []
+        d, n = parse_decomposition("tcd 1 1 2\nb 1 1 2\nc 1 1 2\n", check_n=seen.append)
+        assert n == 2 and seen == [2]
+
+        def refuse(n):
+            raise OverflowError(n)
+
+        # the refusal comes before the bag line is read
+        with pytest.raises(OverflowError):
+            parse_decomposition("tcd 1 1 2\nb 1 9\n", check_n=refuse)
 
     def test_line_numbers_reported(self):
         bad = "tcd 1 1 1\nb 1 1\nc 1 1\nz\n"
@@ -355,14 +367,6 @@ class TestCliPermutation:
         pi.write_text("1 1 2\n")
         assert main(["solve", "--perm", str(pi)]) == 2
 
-    def test_out_builds_no_scanline_graph(self, tmp_path, capsys, monkeypatch):
-        forbid(monkeypatch, permutation.build_scanline_graph,
-               "solve --perm built the whole scanline graph")
-        pi = tmp_path / "p.pi"
-        pi.write_text(serialize_permutation(gen_permutation(random.Random(193), 20)))
-        assert main(["solve", "--perm", str(pi), "--out", str(tmp_path / "d.tcd")]) == 0
-        assert capsys.readouterr().out.startswith("tcl ")
-
     def test_n40_round_trip_and_decision(self, tmp_path, capsys):
         rng = random.Random(197)
         for _ in range(2):
@@ -498,6 +502,18 @@ class TestCliVerify:
         assert main(["verify", c4_file, str(other)]) == 1
         assert "over 1 vertices" in capsys.readouterr().out
 
+    def test_huge_header_n_refused_before_any_mask(self, tmp_path, capsys, monkeypatch):
+        def refuse(vertices):
+            pytest.fail("verify built a mask over the header's n")
+
+        monkeypatch.setattr(io, "mask_of", refuse)
+        col, tcd = tmp_path / "k2.col", tmp_path / "huge.tcd"
+        col.write_text("p edge 2 1\ne 1 2\n")
+        tcd.write_text("tcd 1 1 100000000000\nb 1 100000000000\n")
+        assert main(["verify", str(col), str(tcd)]) == 1
+        assert capsys.readouterr().out == (
+            "invalid: decomposition is over 100000000000 vertices, graph has 2\n")
+
     def test_malformed_header(self, c4_file, tmp_path, capsys):
         bad = tmp_path / "bad.tcd"
         bad.write_text("tcd 1 1\n")
@@ -549,6 +565,22 @@ class TestCliGen:
         with pytest.raises(SystemExit) as exc:
             main(["gen", "--family", "grid", "--seed", "1", "--n", "4"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_permutation_needs_a_line(self, n, tmp_path, capsys):
+        out = tmp_path / "p.pi"
+        assert main(["gen", "--family", "permutation", "--seed", "1", "--n", n,
+                     "--out", str(out)]) == 2
+        assert "need n >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("p", ["2", "-0.1", "nan"])
+    def test_random_edge_probability_in_unit_interval(self, p, tmp_path, capsys):
+        out = tmp_path / "g.col"
+        assert main(["gen", "--family", "random", "--seed", "1", "--n", "5", "--p", p,
+                     "--out", str(out)]) == 2
+        assert "edge probability" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestConsoleScript:

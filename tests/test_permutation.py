@@ -1,5 +1,6 @@
-"""Permutation diagrams, scanlines, and the reachability decision."""
+"""Permutation diagrams, scanlines, and the scanline solver."""
 
+import hashlib
 import itertools
 import random
 from collections import Counter
@@ -9,20 +10,17 @@ import pytest
 from tclq import permutation
 from tclq.bitset import mask_of
 from tclq.cover import vcc
-from tclq.decomposition import AugmentedTreeDecomposition, validate, width
+from tclq.decomposition import validate, width
 from tclq.generators import gen_permutation
 from tclq.io import serialize_decomposition
 from tclq.permutation import (
     Scanline,
     ScanlineGrid,
-    build_scanline_graph,
     compute_tcl,
     cover_of_line_set,
     crossing_lines,
-    decide_tcl_at_most_k,
     diagram,
     inversion_graph,
-    k_small_scanlines,
     solve,
 )
 from tclq.solver_dp import compute_tcl as dp_tcl
@@ -107,120 +105,33 @@ class TestCoverOfLineSet:
             assert cover_of_line_set(d, lines) == vcc(g, lines)[0]
 
 
-class TestKSmallScanlines:
-    def test_reversal_k1_all(self):
-        for n in (2, 3, 4):
-            d = diagram(list(range(n, 0, -1)))
-            assert len(k_small_scanlines(d, 1)) == (n + 1) ** 2
-
-    def test_identity_k1(self):
-        # crossing set of (t,b) on the identity is the |t-b| lines
-        # strictly between the gaps, an independent set, so vcc <= 1
-        # means |t-b| <= 1: ten scanlines on three lines
-        d = diagram([1, 2, 3])
-        got = k_small_scanlines(d, 1)
-        assert len(got) == 10
-        assert got == [s for s in got if abs(s.top - s.bottom) <= 1]
-
-    def test_k_equals_n_all(self):
-        rng = random.Random(137)
-        for _ in range(5):
-            n = rng.randint(1, 7)
-            d = diagram(gen_permutation(rng, n))
-            assert len(k_small_scanlines(d, n)) == (n + 1) ** 2
-
-    def test_k_below_one(self):
-        with pytest.raises(ValueError):
-            k_small_scanlines(diagram([1]), 0)
-
-    def test_definition(self):
-        rng = random.Random(139)
-        for _ in range(10):
-            d = diagram(gen_permutation(rng, rng.randint(1, 7)))
-            k = rng.randint(1, 3)
-            got = set(k_small_scanlines(d, k))
-            for t in range(d.n + 1):
-                for b in range(d.n + 1):
-                    s = Scanline(t, b)
-                    small = cover_of_line_set(d, crossing_lines(d, s)) <= k
-                    assert (s in got) == small
-
-
-class TestScanlineGraph:
-    def test_acyclic_and_bounded(self):
-        rng = random.Random(149)
-        for _ in range(10):
-            n = rng.randint(1, 7)
-            d = diagram(gen_permutation(rng, n))
-            k = rng.randint(1, 3)
-            w = build_scanline_graph(d, k)
-            assert len(w.nodes) <= (n + 1) ** 2
-            for s, t in w.arc_set():
-                # arcs strictly advance one coordinate and keep the other
-                assert (s.top == t.top and s.bottom < t.bottom) or (
-                    s.bottom == t.bottom and s.top < t.top
-                )
-
-    def test_endpoints_present(self):
-        d = diagram([3, 4, 1, 2])
-        w = build_scanline_graph(d, 1)
-        assert Scanline(0, 0) in w.succ
-        assert Scanline(4, 4) in set(w.nodes)
-
-    def test_arcs_monotone_in_k(self):
-        rng = random.Random(151)
-        for _ in range(10):
-            d = diagram(gen_permutation(rng, rng.randint(1, 7)))
-            prev = build_scanline_graph(d, 1).arc_set()
-            for k in (2, 3):
-                cur = build_scanline_graph(d, k).arc_set()
-                assert prev <= cur
-                prev = cur
-
-
 class TestDecide:
+    """tcl <= k read off ``solve``, with the witness checked at k."""
+
     def test_c4(self):
-        ok, d = decide_tcl_at_most_k([3, 4, 1, 2], 2)
-        assert ok
-        g = inversion_graph([3, 4, 1, 2])
-        assert validate(g, d).ok and width(d) <= 2
-        assert not decide_tcl_at_most_k([3, 4, 1, 2], 1)[0]
+        k, d = solve([3, 4, 1, 2])
+        assert k == 2
+        assert validate(inversion_graph([3, 4, 1, 2]), d).ok and width(d) == 2
 
     def test_reversal_k1(self):
-        ok, d = decide_tcl_at_most_k([4, 3, 2, 1], 1)
-        assert ok
-        g = inversion_graph([4, 3, 2, 1])
-        assert validate(g, d).ok and width(d) <= 1
+        k, d = solve([4, 3, 2, 1])
+        assert k == 1
+        assert validate(inversion_graph([4, 3, 2, 1]), d).ok and width(d) == 1
 
     def test_identity_k1(self):
-        ok, d = decide_tcl_at_most_k([1, 2, 3, 4], 1)
-        assert ok
+        k, d = solve([1, 2, 3, 4])
+        assert k == 1
         assert validate(inversion_graph([1, 2, 3, 4]), d).ok
 
     def test_empty_permutation(self):
-        ok, d = decide_tcl_at_most_k([], 1)
-        assert ok and d.num_nodes == 1
-
-    def test_k_below_one(self):
-        with pytest.raises(ValueError):
-            decide_tcl_at_most_k([2, 1], 0)
+        k, d = solve([])
+        assert k == 0 and d.num_nodes == 1
 
     def test_witness_bags_are_candidate_components(self):
         rng = random.Random(157)
         for _ in range(25):
-            n = rng.randint(1, 8)
-            pi = gen_permutation(rng, n)
-            g = inversion_graph(pi)
-            k = rng.randint(1, 3)
-            ok, d = decide_tcl_at_most_k(pi, k)
-            if not ok:
-                assert d is None
-                continue
-            assert validate(g, d).ok
-            assert width(d) <= k
-            # the witness is a path decomposition
-            for i, p in enumerate(d.parents):
-                assert p == i - 1
+            pi = gen_permutation(rng, rng.randint(1, 8))
+            _check_witness(pi, *solve(pi))
 
 
 class TestComputeTcl:
@@ -247,8 +158,9 @@ class TestComputeTcl:
 
 
 # The eager per-k scanline solver: every crossing set from its definition,
-# every k-small scanline and every arc built before the search, and k
-# raised one step at a time.  It is the reference for the grid solver.
+# every k-small scanline and every arc built before a breadth-first
+# search, and k raised one step at a time.  It is the value reference for
+# the grid solver.
 
 def _reference_graph(d, k):
     nodes = [Scanline(t, b) for t in range(d.n + 1) for b in range(d.n + 1)
@@ -264,44 +176,47 @@ def _reference_graph(d, k):
     return nodes, succ
 
 
-def _bfs_witness(d, succ):
-    """The path decomposition along the breadth-first path through succ."""
+def _reachable(d, succ):
     start, goal = Scanline(0, 0), Scanline(d.n, d.n)
-    if start == goal:
-        return AugmentedTreeDecomposition((-1,), (0,), ((),))
-    parent = {start: None}
+    seen = {start}
     queue = [start]
-    head = 0
-    while head < len(queue) and goal not in parent:
-        s = queue[head]
-        head += 1
+    for s in queue:
         for t in succ[s]:
-            if t not in parent:
-                parent[t] = s
+            if t not in seen:
+                seen.add(t)
                 queue.append(t)
-    if goal not in parent:
-        return None
-    path = [goal]
-    while parent[path[-1]] is not None:
-        path.append(parent[path[-1]])
-    path.reverse()
-    bags = tuple(crossing_lines(d, a) | crossing_lines(d, b) for a, b in zip(path, path[1:]))
-    covers = tuple(tuple(sorted(permutation._cover_piles(d, bag))) for bag in bags)
-    return AugmentedTreeDecomposition(tuple(range(-1, len(bags) - 1)), bags, covers)
+    return goal in seen
 
 
-def _reference_decide(pi, k):
+def _reference_tcl(pi):
     d = diagram(pi)
-    return _bfs_witness(d, _reference_graph(d, k)[1])
-
-
-def _reference_solve(pi):
-    if not pi:
-        return 0, _reference_decide(pi, 1)
+    if d.n == 0:
+        return 0
     k = 1
-    while _reference_decide(pi, k) is None:
+    while not _reachable(d, _reference_graph(d, k)[1]):
         k += 1
-    return k, _reference_decide(pi, k)
+    return k
+
+
+def _unit_step_components(d):
+    cross = {(t, b): crossing_lines(d, Scanline(t, b))
+             for t in range(d.n + 1) for b in range(d.n + 1)}
+    return {m | cross[t + dt, b + db] for (t, b), m in cross.items()
+            for dt, db in ((1, 0), (0, 1)) if (t + dt, b + db) in cross}
+
+
+def _check_witness(pi, k, d):
+    """The witness of ``solve`` is a valid path decomposition of width
+    tcl whose bags are unit-step candidate components, none of them
+    contained in a neighbour."""
+    assert validate(inversion_graph(pi), d).ok, pi
+    assert width(d) == k, pi
+    assert d.parents == tuple(range(-1, d.num_nodes - 1)), pi
+    if pi:
+        steps = _unit_step_components(diagram(pi))
+        assert all(bag in steps for bag in d.bags), pi
+    for a, b in zip(d.bags, d.bags[1:]):
+        assert a & ~b and b & ~a, pi
 
 
 def _seeded_permutations(seed, count, lo, hi):
@@ -311,10 +226,9 @@ def _seeded_permutations(seed, count, lo, hi):
 
 class TestGridSolverMatchesReference:
     def _check(self, pi):
-        want_k, want_d = _reference_solve(pi)
         k, d = solve(pi)
-        assert k == want_k == compute_tcl(pi), pi
-        assert serialize_decomposition(d, len(pi)) == serialize_decomposition(want_d, len(pi)), pi
+        assert k == _reference_tcl(pi) == compute_tcl(pi), pi
+        _check_witness(pi, k, d)
 
     def test_exhaustive_up_to_seven(self):
         for n in range(8):
@@ -324,26 +238,6 @@ class TestGridSolverMatchesReference:
     def test_seeded_eight_to_twenty_five(self):
         for pi in _seeded_permutations(167, 30, 8, 25):
             self._check(pi)
-
-    def test_decide_agrees_with_bfs_over_scanline_graph(self):
-        for pi in _seeded_permutations(173, 30, 1, 12):
-            d = diagram(pi)
-            tcl = compute_tcl(pi)
-            for k in range(1, tcl + 2):
-                ok, got = decide_tcl_at_most_k(pi, k)
-                want = _bfs_witness(d, build_scanline_graph(d, k).succ)
-                assert ok == (want is not None) == (k >= tcl), (pi, k)
-                if ok:
-                    assert serialize_decomposition(got, d.n) == serialize_decomposition(want, d.n)
-
-    def test_scanline_graph_matches_eager_build(self):
-        for pi in _seeded_permutations(179, 20, 1, 9):
-            d = diagram(pi)
-            for k in range(1, 4):
-                nodes, succ = _reference_graph(d, k)
-                w = build_scanline_graph(d, k)
-                assert list(w.nodes) == nodes == k_small_scanlines(d, k)
-                assert w.succ == succ
 
 
 class TestScanlineGrid:
@@ -372,3 +266,12 @@ class TestScanlineGrid:
     def test_solve_empty(self):
         k, d = solve([])
         assert k == 0 and d.num_nodes == 1 and d.bags == (0,)
+
+    def test_witness_bytes_pinned(self):
+        # the digest was computed when the witness became the DP's own path
+        h = hashlib.sha256()
+        rng = random.Random(199)
+        for n in range(1, 31):
+            pi = gen_permutation(rng, n)
+            h.update(serialize_decomposition(solve(pi)[1], n).encode())
+        assert h.hexdigest() == "0e4c001c3010c726795bd299b9d0c508189e184f66e5c92896b3b9f2e17e826b"
