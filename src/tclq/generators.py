@@ -33,6 +33,8 @@ def gen_random(rng: random.Random, n: int, p: float = 0.5,
     """Erdos-Renyi G(n, p); with connected=True, resample until connected."""
     if not 0 <= p <= 1:
         raise ValueError(f"edge probability must be in [0, 1], got {p}")
+    if connected and p == 0 and n >= 2:
+        raise ValueError(f"G({n}, 0) is never connected; a connected graph needs p > 0")
     while True:
         edges = [(u, v) for u, v in combinations(range(n), 2) if rng.random() < p]
         g = Graph.from_edges(n, edges)

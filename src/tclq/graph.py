@@ -5,6 +5,9 @@ all set-valued arguments and results are bitmasks (see bitset).  The
 module also hosts the enumeration primitives the solvers share: maximal
 cliques, maximal independent sets, minimal separators, the potential
 maximal clique (PMC) test, and PMC listing from the minimal separators.
+Those primitives share one sweep, component_neighborhoods, which yields
+each component C of G[s] with N(C) from the adjacency rows its search
+ORs together, walking bits with an inline lowest-bit loop.
 """
 
 from dataclasses import dataclass
@@ -65,9 +68,13 @@ class Graph:
 
     def neighbors(self, s: int) -> int:
         """Open neighborhood of a set: N(S) = (union of N(v)) minus S."""
+        adj = self.adj
         m = 0
-        for v in bits(s):
-            m |= self.adj[v]
+        rest = s
+        while rest:
+            low = rest & -rest
+            m |= adj[low.bit_length() - 1]
+            rest ^= low
         return m & ~s
 
     def is_clique(self, s: int) -> bool:
@@ -114,20 +121,30 @@ class Graph:
 
     def components_within(self, s: int) -> List[int]:
         """Connected components of G[s] as masks, ordered by least vertex."""
+        return [c for c, _ in self.component_neighborhoods(s)]
+
+    def component_neighborhoods(self, s: int) -> List[Tuple[int, int]]:
+        """(C, N(C)) for each component C of G[s], ordered by least vertex.
+
+        N(C) is the open neighborhood in G, so it may leave s.  It is the
+        union of the rows the search ORs together anyway, minus C.
+        """
+        adj = self.adj
         out = []
         rest = s
         while rest:
-            seed = rest & -rest
-            comp = seed
-            frontier = seed
+            comp = frontier = rest & -rest
+            reach = 0
             while frontier:
                 grow = 0
-                for v in bits(frontier):
-                    grow |= self.adj[v]
-                grow &= s & ~comp
-                comp |= grow
-                frontier = grow
-            out.append(comp)
+                while frontier:
+                    low = frontier & -frontier
+                    grow |= adj[low.bit_length() - 1]
+                    frontier ^= low
+                reach |= grow
+                frontier = grow & s & ~comp
+                comp |= frontier
+            out.append((comp, reach & ~comp))
             rest &= ~comp
         return out
 
@@ -140,9 +157,8 @@ class Graph:
 
     def components_of_removal(self, s: int) -> "SeparatorInfo":
         """Components of G with s removed, with their full-component flags."""
-        comps = tuple(self.components_within(self.full & ~s))
-        flags = tuple(self.neighbors(c) == s for c in comps)
-        return SeparatorInfo(s, comps, flags)
+        pairs = self.component_neighborhoods(self.full & ~s)
+        return SeparatorInfo(s, tuple(c for c, _ in pairs), tuple(nc == s for _, nc in pairs))
 
 
 @dataclass(frozen=True)
@@ -220,18 +236,14 @@ def enumerate_minimal_separators(g: Graph) -> List[int]:
     seps = set()
     queue: List[int] = []
     for v in range(n):
-        rest = g.full & ~g.nbr_closed(v)
-        for comp in g.components_within(rest):
-            s = g.neighbors(comp)
+        for _, s in g.component_neighborhoods(g.full & ~g.nbr_closed(v)):
             if s and s not in seps:
                 seps.add(s)
                 queue.append(s)
     while queue:
         s = queue.pop()
         for x in bit_list(s):
-            rest = g.full & ~(s | g.adj[x])
-            for comp in g.components_within(rest):
-                cand = g.neighbors(comp)
+            for _, cand in g.component_neighborhoods(g.full & ~(s | g.adj[x])):
                 if cand and cand not in seps:
                     seps.add(cand)
                     queue.append(cand)
@@ -314,22 +326,27 @@ def is_pmc(g: Graph, omega: int) -> bool:
 
     omega is a PMC iff no component of G minus omega sees all of omega,
     and every non-adjacent pair inside omega is covered by the
-    neighborhood of some component.
+    neighborhood of some component.  The pair test runs per vertex: u
+    passes when omega lies inside N[u] and the neighborhoods that
+    contain u, so the cost is the total size of those neighborhoods.
     """
     if omega == 0:
         return False
-    covers = []
-    for c in g.components_within(g.full & ~omega):
-        nc = g.neighbors(c)
+    adj = g.adj
+    seen = [0] * g.n  # seen[u]: union of the N(C) that contain u
+    for _, nc in g.component_neighborhoods(g.full & ~omega):
         if nc == omega:
             return False
-        covers.append(nc)
-    ov = bit_list(omega)
-    for i, u in enumerate(ov):
-        for v in ov[i + 1:]:
-            if g.adj[u] >> v & 1:
-                continue
-            pair = (1 << u) | (1 << v)
-            if not any(pair & ~nc == 0 for nc in covers):
-                return False
+        rest = nc
+        while rest:
+            low = rest & -rest
+            seen[low.bit_length() - 1] |= nc
+            rest ^= low
+    rest = omega
+    while rest:
+        low = rest & -rest
+        u = low.bit_length() - 1
+        if omega & ~(adj[u] | seen[u] | low):
+            return False
+        rest ^= low
     return True

@@ -130,10 +130,9 @@ def decide_tcl_at_most_k(
             hub = sep | (1 << v)
             if not at_most(hub, k):
                 continue
-            subs = g.components_within(comp & ~(1 << v))
             kids = []
-            for d in subs:
-                w = yes(g.neighbors(d), d)
+            for d, nd in g.component_neighborhoods(comp & ~(1 << v)):
+                w = yes(nd, d)
                 if w is None:
                     kids = None
                     break

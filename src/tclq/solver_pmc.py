@@ -18,6 +18,15 @@ root bag S costs vcc(S), each full component contributes its block
 value, and each non-full component C contributes the value of the full
 block (N(C), C).
 
+A block's admissible Omega come from an index, not from a scan of all
+PMCs.  The minimal separators inside a PMC Omega are exactly the sets
+N(D) for the components D of G - Omega, and Omega - N(D) lies in one
+full component C of N(D) (Bouchitte & Todinca, SICOMP 2001), so Omega
+serves each block (N(D), C).  That is every block it is admissible for:
+if S proper-subset Omega subseteq S union C, another full component of
+S avoids Omega and is a component D of G - Omega with N(D) = S.  Each
+block's list keeps catalog order, so ties go to the same Omega.
+
 Above DENSE_MAX_N vertices, nothing here is indexed by all 2^n
 subsets.  The PMCs and the minimal separators come from one listing
 (graph.enumerate_pmcs and its helper), which builds the PMCs from the
@@ -84,6 +93,30 @@ def _single_bag(g: Graph, cover: Cover) -> AugmentedTreeDecomposition:
         (-1,), (g.full,), (tuple(sorted(cover.partition(g.full))),))
 
 
+def block_index(g: Graph, catalog: PmcCatalog) -> Dict[Tuple[int, int], List[int]]:
+    """The full blocks (S, C) by part size, each with its admissible
+    PMCs in catalog order (the index in the module docstring)."""
+    blocks: List[Tuple[int, int]] = []
+    for s in catalog.separators:
+        for c, nc in g.component_neighborhoods(g.full & ~s):
+            if nc == s:
+                blocks.append((s, c))
+    blocks.sort(key=lambda b: ((b[0] | b[1]).bit_count(), b[0] | b[1], b[0]))
+    served: Dict[Tuple[int, int], List[int]] = {blk: [] for blk in blocks}
+    for omega in catalog.pmcs:
+        pairs = g.component_neighborhoods(g.full & ~omega)
+        for _, sep in pairs:
+            # C: V - S without the components of G - Omega that see only S
+            comp = g.full & ~sep
+            for d, nd in pairs:
+                if nd & ~sep == 0:
+                    comp &= ~d
+            omegas = served[(sep, comp)]
+            if not omegas or omegas[-1] != omega:
+                omegas.append(omega)
+    return served
+
+
 def tcl_via_pmc(g: Graph, catalog: PmcCatalog) -> Tuple[int, AugmentedTreeDecomposition]:
     """Exact tcl with witness for connected G via the block recurrence."""
     if not g.is_connected():
@@ -95,29 +128,17 @@ def tcl_via_pmc(g: Graph, catalog: PmcCatalog) -> Tuple[int, AugmentedTreeDecomp
         # no separator means the graph is complete: one bag, one clique
         return cover.value(g.full), _single_bag(g, cover)
 
-    # full blocks (S, C), by part size
-    blocks: List[Tuple[int, int]] = []
-    for s in catalog.separators:
-        info = g.components_of_removal(s)
-        for c, isfull in zip(info.components, info.full):
-            if isfull:
-                blocks.append((s, c))
-    blocks.sort(key=lambda b: ((b[0] | b[1]).bit_count(), b[0] | b[1], b[0]))
-
+    served = block_index(g, catalog)
     val: Dict[Tuple[int, int], int] = {}
     pick: Dict[Tuple[int, int], Optional[int]] = {}
-    for blk in blocks:
+    for blk, omegas in served.items():
         sep, comp = blk
         part = sep | comp
         best: Optional[int] = None
         best_omega: Optional[int] = None
-        for omega in catalog.pmcs:
-            # admissibility: S proper subset of Omega, Omega inside the part
-            if omega & ~part or sep & ~omega or omega == sep:
-                continue
+        for omega in omegas:
             cost = catalog.pmc_vcc[omega]
-            for d in g.components_within(part & ~omega):
-                nd = g.neighbors(d)
+            for d, nd in g.component_neighborhoods(part & ~omega):
                 sub = (nd, d)
                 if (nd | d).bit_count() >= part.bit_count():
                     raise RuntimeError("sub-block must shrink")
@@ -136,9 +157,8 @@ def tcl_via_pmc(g: Graph, catalog: PmcCatalog) -> Tuple[int, AugmentedTreeDecomp
     best_sep: Optional[int] = None
     for s in catalog.inclusion_minimal:
         total = catalog.sep_vcc[s]
-        info = g.components_of_removal(s)
-        for c, isfull in zip(info.components, info.full):
-            sub = (s, c) if isfull else (g.neighbors(c), c)
+        for c, nc in g.component_neighborhoods(g.full & ~s):
+            sub = (nc, c)
             if sub not in val:
                 raise RuntimeError("component block value missing")
             total = max(total, val[sub])
@@ -154,16 +174,14 @@ def tcl_via_pmc(g: Graph, catalog: PmcCatalog) -> Tuple[int, AugmentedTreeDecomp
         bags.append(bag)
         covers.append(tuple(sorted(cover.partition(bag))))
         if omega is not None:
-            for d in g.components_within(part & ~omega):
-                block_witness(g.neighbors(d), d, parents, bags, covers, idx)
+            for d, nd in g.component_neighborhoods(part & ~omega):
+                block_witness(nd, d, parents, bags, covers, idx)
 
     parents: List[int] = [-1]
     bags: List[int] = [best_sep]
     covers: List[Tuple[int, ...]] = [tuple(sorted(cover.partition(best_sep)))]
-    info = g.components_of_removal(best_sep)
-    for c, isfull in zip(info.components, info.full):
-        sep = best_sep if isfull else g.neighbors(c)
-        block_witness(sep, c, parents, bags, covers, 0)
+    for c, nc in g.component_neighborhoods(g.full & ~best_sep):
+        block_witness(nc, c, parents, bags, covers, 0)
     atd = AugmentedTreeDecomposition(tuple(parents), tuple(bags), tuple(covers))
     atd = sanitize(g, atd, cover)
     return best_total, atd

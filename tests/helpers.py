@@ -112,6 +112,41 @@ def assert_sane(g: Graph, d: AugmentedTreeDecomposition) -> None:
             assert g.adj[v] & a.component, f"adhesion vertex {v} isolated from component {t}"
 
 
+def reference_components(g: Graph, s: int) -> List[int]:
+    """Components of G[s] by a plain vertex-at-a-time search, ordered by
+    least vertex: the definition the graph kernels are checked against."""
+    out: List[int] = []
+    left = [v for v in range(g.n) if s >> v & 1]
+    while left:
+        comp, stack = {left[0]}, [left[0]]
+        while stack:
+            u = stack.pop()
+            for w in left:
+                if w not in comp and g.has_edge(u, w):
+                    comp.add(w)
+                    stack.append(w)
+        out.append(mask_of(comp))
+        left = [v for v in left if v not in comp]
+    return out
+
+
+def pairwise_is_pmc(g: Graph, omega: int) -> bool:
+    """The PMC test by its definition: omega is nonempty, no component
+    of G - omega has neighborhood omega, and each non-adjacent pair in
+    omega lies in the neighborhood of some component."""
+    if omega == 0:
+        return False
+    hoods = [mask_of(v for v in range(g.n) if g.adj[v] & c and not c >> v & 1)
+             for c in reference_components(g, g.full & ~omega)]
+    if omega in hoods:
+        return False
+    for u, v in combinations([w for w in range(g.n) if omega >> w & 1], 2):
+        pair = (1 << u) | (1 << v)
+        if not g.has_edge(u, v) and not any(pair & ~h == 0 for h in hoods):
+            return False
+    return True
+
+
 def is_p4_free(g: Graph) -> bool:
     """Brute-force cograph recognition for small n.
 

@@ -574,6 +574,17 @@ class TestCliGen:
         assert "need n >= 1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["--family", "random", "--n", "2", "--p", "0", "--connected"],
+        ["--family", "reduction", "--n", "5", "--p", "0"],
+    ])
+    def test_connected_needs_edges(self, argv, tmp_path, capsys):
+        # G(n, 0) with n >= 2 is never connected, so resampling cannot end
+        out = tmp_path / "g.col"
+        assert main(["gen", "--seed", "1", *argv, "--out", str(out)]) == 2
+        assert "never connected" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("p", ["2", "-0.1", "nan"])
     def test_random_edge_probability_in_unit_interval(self, p, tmp_path, capsys):
         out = tmp_path / "g.col"

@@ -18,7 +18,7 @@ from tclq.generators import gen_random
 from tclq.oracle import OracleBudget, brute_pmcs
 
 from corpus import all_graphs, connected_graphs, graphs_up_to
-from helpers import complete, cycle, path
+from helpers import complete, cycle, pairwise_is_pmc, path, reference_components
 
 
 def brute_mis(g: Graph):
@@ -159,6 +159,29 @@ class TestComponentsOfRemoval:
                 assert f == (g.neighbors(c) == s)
 
 
+class TestComponentNeighborhoods:
+    def check(self, g: Graph, s: int) -> None:
+        sweep = g.component_neighborhoods(s)
+        assert sweep == [(c, g.neighbors(c)) for c in g.components_within(s)]
+        assert [c for c, _ in sweep] == reference_components(g, s)
+
+    def test_every_subset_to_6(self, graphs_to_6):
+        for g in graphs_to_6:
+            for s in range(1 << g.n):
+                self.check(g, s)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_masks(self, seed):
+        rng = random.Random(f"component-neighborhoods:{seed}")
+        g = gen_random(rng, rng.randint(8, 14), rng.choice([0.15, 0.3, 0.5]))
+        for _ in range(200):
+            self.check(g, rng.randrange(1 << g.n))
+
+    def test_neighborhood_leaves_s(self):
+        # C = {0}, and N(C) = {1} lies outside s
+        assert path(3).component_neighborhoods(0b101) == [(0b001, 0b010), (0b100, 0b010)]
+
+
 class TestCompleteSet:
     def test_c4_chord(self):
         g = cycle(4).complete_set(mask_of([1, 3]))
@@ -278,6 +301,11 @@ class TestIsPmc:
         for g in rng.sample(graphs_8, 60):
             sweep = [s for s in range(1, 1 << g.n) if is_pmc(g, s)]
             assert sweep == brute_pmcs(g, budget)
+
+    def test_matches_pairwise_definition(self, graphs_to_6):
+        for g in graphs_to_6:
+            for s in range(1 << g.n):
+                assert is_pmc(g, s) == pairwise_is_pmc(g, s), (g, s)
 
     def test_maximal_cliques_are_pmcs(self, connected_to_6):
         # every maximal clique of G survives in the trivial triangulation

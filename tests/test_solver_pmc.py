@@ -1,9 +1,11 @@
 """Block-and-PMC dynamic program and its catalog."""
 
+import hashlib
 import random
 
 import pytest
 
+from tclq import io
 from tclq.bitset import mask_of
 from tclq.cover import CapacityError
 from tclq.decomposition import validate, width
@@ -11,7 +13,7 @@ from tclq.generators import gen_random
 from tclq.graph import Graph, is_pmc
 from tclq.oracle import tcl_oracle
 from tclq.solver_dp import compute_tcl as dp_tcl
-from tclq.solver_pmc import build_catalog, compute_tcl, tcl_via_pmc
+from tclq.solver_pmc import block_index, build_catalog, compute_tcl, tcl_via_pmc
 
 from corpus import connected_graphs
 from helpers import assert_good_witness, complete, cycle, forbid_subset_tables, path, solve_cli
@@ -60,6 +62,39 @@ class TestBuildCatalog:
     def test_capacity(self):
         with pytest.raises(CapacityError):
             build_catalog(Graph.from_edges(65, []))
+
+
+def assert_index_matches_scan(g: Graph) -> None:
+    """block_index against the full blocks and the admissibility scan
+    S proper-subset Omega subseteq S union C over the whole catalog."""
+    catalog, _ = build_catalog(g)
+    index = block_index(g, catalog)
+    blocks = set()
+    for s in catalog.separators:
+        info = g.components_of_removal(s)
+        blocks.update((s, c) for c, full in zip(info.components, info.full) if full)
+    assert set(index) == blocks
+    for (sep, comp), omegas in index.items():
+        part = sep | comp
+        assert omegas == [om for om in catalog.pmcs
+                          if om != sep and sep & ~om == 0 and om & ~part == 0]
+
+
+class TestBlockIndex:
+    def test_connected_to_6(self, connected_to_6):
+        for g in connected_to_6:
+            assert_index_matches_scan(g)
+
+    @pytest.mark.parametrize("n", range(8, 15))
+    def test_seeded_random(self, n):
+        rng = random.Random(f"pmc-block-index:{n}")
+        for p in (0.15, 0.3, 0.5, 0.7):
+            assert_index_matches_scan(gen_random(rng, n, p, connected=True))
+
+    def test_blocks_by_part_size(self):
+        g = gen_random(random.Random("pmc-block-index:order"), 12, 0.3, connected=True)
+        keys = [(s | c).bit_count() for s, c in block_index(g, build_catalog(g)[0])]
+        assert keys == sorted(keys)
 
 
 class TestTclViaPmc:
@@ -131,3 +166,27 @@ class TestDefaultRouteBuildsNoSubsetTable:
         want = [dp_tcl(g)[0] for g in graphs]
         forbid_subset_tables(monkeypatch)
         assert [solve_cli(g, tmp_path, capsys) for g in graphs] == want
+
+
+class TestWitnessBytes:
+    # sha256 of io.serialize_decomposition over compute_tcl, for eight
+    # seeded G(n, p) per n, computed on the PMC route before it listed
+    # each block's PMCs from an index instead of scanning the catalog
+    TCD_SHA256 = {
+        8: "ea88071e8709fbb2c1f5f98fd805cbb9258471d010e0a336e67caa422c656610",
+        9: "a5643542230d6f8de0d92dcf8cc1bf0bafc396d103f34ba053a44d0539cacea3",
+        10: "0683851ffe2ed4206a5a58460c8d37d974bfeb9afd8ae98ef06731709a8097ff",
+        11: "f868a6391d5fd0e862c33403d2723da031a91bb9f2b941a5a3b6df15568241ea",
+        12: "79b854c40618fd60960a44769d727966c45977988305503390add7110c8684a1",
+        13: "7ec35637e5612c6dded4e82e5d283b56a46f6c949f668405529ac18920f227bc",
+        14: "230798df53d526c1f45c4111825608bf3dc004701ff9e9ccba87b74c27346d33",
+    }
+
+    @pytest.mark.parametrize("n", range(8, 15))
+    def test_witness_bytes_pinned(self, n):
+        rng = random.Random(f"pmc-tcd-pin:{n}")
+        h = hashlib.sha256()
+        for p in (0.2, 0.4, 0.6, 0.8) * 2:
+            g = gen_random(rng, n, p)
+            h.update(io.serialize_decomposition(compute_tcl(g)[1], g.n).encode())
+        assert h.hexdigest() == self.TCD_SHA256[n]
