@@ -26,7 +26,6 @@ from .decomposition import (
 )
 from .graph import (
     Graph,
-    SeparatorInfo,
     enumerate_maximal_independent_sets,
     enumerate_minimal_separators,
     is_pmc,
@@ -42,7 +41,6 @@ __all__ = [
     "Graph",
     "OracleBudget",
     "PmcCatalog",
-    "SeparatorInfo",
     "brute_chromatic",
     "brute_pmcs",
     "build_catalog",

@@ -47,9 +47,7 @@ def _solve(args) -> int:
             raise UsageError("--algo applies to --input graphs only")
         if args.out is not None:
             raise UsageError("the cograph solver emits values, not decompositions")
-        tree = cograph.parse_and_binarize(_read(args.cograph))
-        k = cograph.compute_tcl(tree)[0]
-        return _report(args, k, None, None)
+        return _report(args, cograph.fold_tcl(_read(args.cograph)), None, None)
 
     if args.perm is not None:
         if args.algo != "auto":

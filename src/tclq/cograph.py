@@ -5,10 +5,25 @@ label 0 means disjoint union and label 1 means product (join).  Leaves
 are bare atoms; a single atom by itself denotes K1.  Parsing produces a
 binary cotree (k-ary nodes are folded into left-deep same-label chains),
 and the per-node folds below run in one bottom-up pass each.
+
+The folds carry (ecc, tcl), the clique cover number and the tree-clique
+width.  A leaf is (1, 1); a union of A and B is (ecc(A) + ecc(B),
+max(tcl(A), tcl(B))); a product is (max(ecc(A), ecc(B)),
+min(max(ecc(A), tcl(B)), max(tcl(A), ecc(B)))).  ``fold_tcl`` takes
+them while the expression is read, with no tree built.  That gives the
+same numbers as the folds over the binary cotree.  Write x * y for the
+rule of label lab applied to the values of x and y.  (lab c1 ... ck) is
+binarized to (lab (... (lab c1 c2) ...) ck), whose value is
+(...(c1 * c2) * ...) * ck.  The reader keeps exactly that running value
+for each open node: a child is complete when it closes, which is before
+its next sibling opens, and it is then folded into its parent's value.
+The running value starts at the empty graph (0, 0).  tcl <= ecc at
+every node, so folding a first child (e, t) into (0, 0) gives (e, t)
+under either label.
 """
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 from .bitset import bits
 from .graph import Graph
@@ -54,52 +69,80 @@ class CotreeParseError(ValueError):
     pass
 
 
-def _tokenize(text: str) -> List[str]:
-    return text.replace("(", " ( ").replace(")", " ) ").split()
+def _read(text: str):
+    """Read one cotree expression; returns (node, ecc, tcl) of its root.
 
-
-def _parse_expr(tokens: List[str], pos: int):
-    """Returns (node, next_pos); node is a leaf name (str) or (label, [children]).
-
-    Iterative, so the nesting depth is bounded by memory, not the stack.
+    node is a leaf name (str) or (label, [children]).  ecc and tcl are
+    the folds of the module docstring, taken while the expression is
+    read.  Iterative, so the nesting depth is bounded by memory, not the
+    stack.  Syntax errors come first, then trailing input, then the
+    first leaf name that repeats.
     """
-    stack: List[Tuple[int, list]] = []  # open internal nodes, innermost last
-    end = len(tokens)
-    while True:
-        # an expression starts at pos
-        if pos >= end:
-            raise CotreeParseError("unexpected end of input")
-        tok = tokens[pos]
-        pos += 1
-        if tok == ")":
+    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
+    if not tokens:
+        raise CotreeParseError("empty cotree expression")
+    if tokens[0] != "(":
+        if tokens[0] == ")":
             raise CotreeParseError("unexpected ')'")
+        if len(tokens) > 1:
+            raise CotreeParseError(f"trailing input after expression: {tokens[1]!r}")
+        return tokens[0], 1, 1
+    # The innermost open node is (lab, kids, ecc, tcl), with ecc and tcl
+    # the running fold of its children so far; the nodes enclosing it are
+    # on the stack, above a sentinel with kids None that the root closes to.
+    stack: List[tuple] = []
+    lab, kids, ecc, tcl = None, None, 0, 0
+    seen = set()
+    dup = None
+    it = iter(tokens)
+    for tok in it:
         if tok == "(":
-            if pos >= end or tokens[pos] in ("(", ")"):
-                raise CotreeParseError("internal node must start with a 0/1 label")
-            lab_tok = tokens[pos]
-            if lab_tok not in ("0", "1"):
-                raise CotreeParseError(f"unknown node label {lab_tok!r} (expected 0 or 1)")
-            pos += 1
-            stack.append((int(lab_tok), []))
-            node = None
-        else:
-            node = tok
-        # hand the finished node to its parent, closing every node whose
-        # child list ends here
-        while True:
-            if node is not None:
-                if not stack:
-                    return node, pos
-                stack[-1][1].append(node)
-            if pos >= end:
-                raise CotreeParseError("missing ')'")
-            if tokens[pos] != ")":
-                break
-            node = stack.pop()
-            if len(node[1]) < 2:
+            stack.append((lab, kids, ecc, tcl))
+            tok = next(it, None)
+            if tok not in ("0", "1"):
+                if tok in (None, "(", ")"):
+                    raise CotreeParseError("internal node must start with a 0/1 label")
+                raise CotreeParseError(f"unknown node label {tok!r} (expected 0 or 1)")
+            lab, kids, ecc, tcl = int(tok), [], 0, 0
+            continue
+        if tok == ")":
+            if len(kids) < 2:
                 raise CotreeParseError(
-                    f"internal node has {len(node[1])} children, needs at least 2")
-            pos += 1
+                    f"internal node has {len(kids)} children, needs at least 2")
+            node, child_ecc, child_tcl = (lab, kids), ecc, tcl
+            lab, kids, ecc, tcl = stack.pop()
+            if kids is None:
+                tok = next(it, None)
+                if tok is not None:
+                    raise CotreeParseError(f"trailing input after expression: {tok!r}")
+                if dup is not None:
+                    raise CotreeParseError(f"duplicate leaf {dup!r}")
+                return node, child_ecc, child_tcl
+            kids.append(node)
+        else:
+            if dup is None and tok in seen:
+                dup = tok
+            seen.add(tok)
+            kids.append(tok)
+            child_ecc = child_tcl = 1
+        # fold the finished child into its parent; max and min are spelled
+        # out, as builtin calls here took a third of the pass
+        if lab == UNION:
+            ecc += child_ecc
+            if child_tcl > tcl:
+                tcl = child_tcl
+        else:
+            a = ecc if ecc > child_tcl else child_tcl
+            b = tcl if tcl > child_ecc else child_ecc
+            tcl = a if a < b else b
+            if child_ecc > ecc:
+                ecc = child_ecc
+    raise CotreeParseError("missing ')'")
+
+
+def fold_tcl(text: str) -> int:
+    """Tree-clique width of the cograph of a cotree expression, in one pass."""
+    return _read(text)[2]
 
 
 def parse_and_binarize(text: str) -> Cotree:
@@ -111,19 +154,12 @@ def parse_and_binarize(text: str) -> Cotree:
     in preorder of the binary tree, so the root is node 0 and a k-ary
     node's chain comes topmost first.  Iterative, like the parser.
     """
-    tokens = _tokenize(text)
-    if not tokens:
-        raise CotreeParseError("empty cotree expression")
-    ast, pos = _parse_expr(tokens, 0)
-    if pos != len(tokens):
-        raise CotreeParseError(f"trailing input after expression: {tokens[pos]!r}")
-
+    ast = _read(text)[0]
     kids: List = []
     label: List[Optional[int]] = []
     leaf_vertex: List[Optional[int]] = []
     source: List[Optional[int]] = []
     leaf_names: List[str] = []
-    seen: Dict[str, int] = {}
     # Entries are (expression, kids pair of the parent, side).  An
     # expression is a leaf name, a parsed (label, children) node, or a
     # chain node (label, children, m) standing for the fold of the first
@@ -136,9 +172,6 @@ def parse_and_binarize(text: str) -> Cotree:
         if slot is not None:
             slot[side] = len(kids)
         if type(node) is str:
-            if node in seen:
-                raise CotreeParseError(f"duplicate leaf {node!r}")
-            seen[node] = len(leaf_names)
             kids.append(())
             label.append(None)
             leaf_vertex.append(len(leaf_names))

@@ -10,7 +10,6 @@ each component C of G[s] with N(C) from the adjacency rows its search
 ORs together, walking bits with an inline lowest-bit loop.
 """
 
-from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .bitset import bit_list, bits, mask_of
@@ -154,18 +153,6 @@ class Graph:
         if s == 0:
             return True
         return len(self.components_within(s)) == 1
-
-    def components_of_removal(self, s: int) -> "SeparatorInfo":
-        """Components of G with s removed, with their full-component flags."""
-        pairs = self.component_neighborhoods(self.full & ~s)
-        return SeparatorInfo(s, tuple(c for c, _ in pairs), tuple(nc == s for _, nc in pairs))
-
-
-@dataclass(frozen=True)
-class SeparatorInfo:
-    separator: int
-    components: Tuple[int, ...]
-    full: Tuple[bool, ...]
 
 
 def expand_mask(small: int, verts: Sequence[int]) -> int:

@@ -13,7 +13,13 @@ from tclq.cli import main
 from tclq.cograph import cotree_to_graph, parse_and_binarize
 from tclq.decomposition import validate, width
 from tclq.cover import vcc
-from tclq.generators import gen_corpora, gen_permutation, gen_random, gen_reduction_H
+from tclq.generators import (
+    CONNECTED_DRAWS,
+    gen_corpora,
+    gen_permutation,
+    gen_random,
+    gen_reduction_H,
+)
 from tclq.graph import Graph
 from tclq.io import (
     ParseError,
@@ -334,13 +340,19 @@ class TestCliCograph:
         assert main(["solve", "--cograph", str(ct)]) == 2
 
     def test_deep_caterpillar(self, tmp_path, capsys):
-        # (1 v1 (0 v2 (1 v3 ... v0))): a threshold graph, so chordal
-        depth = 5000
+        # (1 v1 (0 v2 (1 v3 ... core))): on the leaf core v0 a threshold
+        # graph, so chordal; on a C4 core each level keeps tcl at C4's 2
+        depth = 100_000
         ct = tmp_path / "deep.ct"
-        ct.write_text("".join(f"({i % 2} v{i} " for i in range(1, depth + 1))
-                      + "v0" + ")" * depth + "\n")
-        assert main(["solve", "--cograph", str(ct)]) == 0
-        assert capsys.readouterr().out == "tcl 1\n"
+        for core, k in (("v0", 1), ("(1 (0 a b) (0 c d))", 2)):
+            ct.write_text("".join(f"({i % 2} v{i} " for i in range(1, depth + 1))
+                          + core + ")" * depth + "\n")
+            assert main(["solve", "--cograph", str(ct)]) == 0
+            assert capsys.readouterr().out == f"tcl {k}\n"
+            assert main(["solve", "--cograph", str(ct), "--k", str(k)]) == 0
+            assert capsys.readouterr().out == "YES\n"
+        assert main(["solve", "--cograph", str(ct), "--k", str(k - 1)]) == 1
+        assert capsys.readouterr().out == "NO\n"
 
 
 class TestCliPermutation:
@@ -583,6 +595,14 @@ class TestCliGen:
         out = tmp_path / "g.col"
         assert main(["gen", "--seed", "1", *argv, "--out", str(out)]) == 2
         assert "never connected" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_connected_gives_up_on_tiny_p(self, tmp_path, capsys):
+        # G(30, 0.001) is almost never connected: the draw cap ends it
+        out = tmp_path / "g.col"
+        assert main(["gen", "--family", "random", "--seed", "1", "--n", "30", "--p", "0.001",
+                     "--connected", "--out", str(out)]) == 2
+        assert f"in {CONNECTED_DRAWS} draws" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("p", ["2", "-0.1", "nan"])

@@ -12,6 +12,7 @@ from tclq.cograph import (
     compute_ecc,
     compute_tcl,
     cotree_to_graph,
+    fold_tcl,
     parse_and_binarize,
 )
 from tclq.cover import vcc
@@ -94,6 +95,10 @@ def _parse_outcome(parse, text):
         return str(exc)
 
 
+def _tcl_by_tree(text):
+    return compute_tcl(parse_and_binarize(text))[0]
+
+
 def leaf_masks(tree):
     """Per-node mask of realized leaves."""
     masks = [None] * tree.num_nodes
@@ -162,6 +167,14 @@ class TestParse:
         with pytest.raises(CotreeParseError, match="duplicate"):
             parse_and_binarize("(0 a a)")
 
+    @pytest.mark.parametrize("parse", [parse_and_binarize, fold_tcl])
+    def test_first_error_order(self, parse):
+        # syntax errors first, then trailing input, then a repeated leaf
+        assert _parse_outcome(parse, "(0 a a") == "missing ')'"
+        assert _parse_outcome(parse, "(0 a a) b") == "trailing input after expression: 'b'"
+        assert _parse_outcome(parse, "(0 a a)") == "duplicate leaf 'a'"
+        assert _parse_outcome(parse, "(1 (0 a b a) b)") == "duplicate leaf 'a'"
+
     def test_matches_recursive_reference(self):
         # same tree or same first error, on well-formed and damaged input
         rng = random.Random(199)
@@ -182,9 +195,12 @@ class TestParse:
                 text += rng.choice([")", "(", " x"])
             texts.append(text)
         texts += [text for text, _ in gen_corpora(223, "cograph", count=5, n=300)]
+        texts += [gen_cotree_text(rng, n) for n in (1, 2, 3, 5, 13, 100) for _ in range(40)]
         for text in texts:
             assert _parse_outcome(parse_and_binarize, text) == \
                 _parse_outcome(_recursive_parse, text), text
+            # the one-pass fold gives the tree's answer or its first error
+            assert _parse_outcome(fold_tcl, text) == _parse_outcome(_tcl_by_tree, text), text
 
     def test_deep_nesting(self):
         depth = 5000

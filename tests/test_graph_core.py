@@ -35,12 +35,17 @@ def brute_mis(g: Graph):
     return out
 
 
+def removal(g: Graph, s: int):
+    """Components of G - s by least vertex, and which are full (N(C) = s)."""
+    pairs = g.component_neighborhoods(g.full & ~s)
+    return [c for c, _ in pairs], [nc == s for _, nc in pairs]
+
+
 def brute_min_seps(g: Graph):
     """Minimal a,b-separators: S with two or more full components."""
     out = []
     for s in range(1 << g.n):
-        info = g.components_of_removal(s)
-        if sum(info.full) >= 2:
+        if sum(removal(g, s)[1]) >= 2:
             out.append(s)
     return out
 
@@ -127,35 +132,28 @@ class TestInducedSubgraph:
 
 class TestComponentsOfRemoval:
     def test_c4_diagonal(self):
-        info = cycle(4).components_of_removal(mask_of([1, 3]))
-        assert info.separator == mask_of([1, 3])
-        assert info.components == (mask_of([0]), mask_of([2]))
-        assert info.full == (True, True)
+        assert removal(cycle(4), mask_of([1, 3])) == ([mask_of([0]), mask_of([2])], [True, True])
 
     def test_p4_inner_vertex(self):
-        info = path(4).components_of_removal(1 << 1)
-        assert info.components == (1 << 0, mask_of([2, 3]))
-        assert info.full == (True, True)
+        assert removal(path(4), 1 << 1) == ([1 << 0, mask_of([2, 3])], [True, True])
 
     def test_k4_pair(self):
-        info = complete(4).components_of_removal(mask_of([1, 2]))
-        assert info.components == (mask_of([0, 3]),)
-        assert info.full == (True,)
+        assert removal(complete(4), mask_of([1, 2])) == ([mask_of([0, 3])], [True])
 
     def test_components_partition(self, graphs_to_6):
         rng = random.Random(5)
         for g in graphs_to_6:
             s = rng.randrange(1 << g.n) if g.n else 0
-            info = g.components_of_removal(s)
+            components, full = removal(g, s)
             acc = 0
-            for c in info.components:
+            for c in components:
                 assert c and not (c & s) and not (c & acc)
                 acc |= c
             assert acc == g.full & ~s
             # sorted by least vertex, full flag matches definition
-            mins = [c & -c for c in info.components]
+            mins = [c & -c for c in components]
             assert mins == sorted(mins)
-            for c, f in zip(info.components, info.full):
+            for c, f in zip(components, full):
                 assert f == (g.neighbors(c) == s)
 
 
@@ -314,8 +312,7 @@ class TestIsPmc:
         # a maximal clique with no full component is a PMC.
         for g in connected_to_6:
             for c in maximal_cliques_within(g, g.full):
-                info = g.components_of_removal(c)
-                if all(not f for f in info.full):
+                if not any(removal(g, c)[1]):
                     assert is_pmc(g, c)
 
 

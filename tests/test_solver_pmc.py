@@ -71,8 +71,7 @@ def assert_index_matches_scan(g: Graph) -> None:
     index = block_index(g, catalog)
     blocks = set()
     for s in catalog.separators:
-        info = g.components_of_removal(s)
-        blocks.update((s, c) for c, full in zip(info.components, info.full) if full)
+        blocks.update((s, c) for c, nc in g.component_neighborhoods(g.full & ~s) if nc == s)
     assert set(index) == blocks
     for (sep, comp), omegas in index.items():
         part = sep | comp
