@@ -6,6 +6,7 @@ or budget exceeded.
 """
 
 import argparse
+import functools
 import sys
 from typing import Optional
 
@@ -181,8 +182,15 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser every main call shares: building it costs more than
+    most parses."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (CapacityError, BudgetExceededError) as exc:

@@ -8,7 +8,12 @@ takes the same step top-down from V and solves only the sets it reads.
 An inclusion-exclusion engine counts covers/partitions by independent
 sets, which doubles as a chromatic-number routine with a constructive
 coloring mode; its signed sums over all 2^n subsets run over a histogram
-of a table's distinct values.  These operations refuse a graph above
+of a table's distinct values.  The coloring mode builds its table of
+independent-set counts once, on two facts: every vertex below the pivot
+(the lowest vertex with a non-neighbour above it) is adjacent to all
+others, so a trial is decided on the graph without them; and a trial
+changes edges only at the pivot, so the table of the vertices above it
+is kept and only shrinks.  These operations refuse a graph above
 TABLE_MAX_N vertices before allocating anything.  The CoverOracle is the
 sparse counterpart for the solvers: it solves only the sets a caller
 asks for, one at a time, by backtracking, and memoizes them.  Both cover
@@ -258,14 +263,11 @@ def _signed_histogram(table: List[int], n: int) -> Dict[int, int]:
     odd = b"\0"  # odd[T] = |T| mod 2, doubled one vertex at a time
     for _ in range(n):
         odd += odd.translate(_FLIP)
-    odd_counts = Counter(compress(table, odd))
-    sign = -1 if n & 1 else 1
-    hist = {}
-    for a, c in Counter(table).items():
-        c -= 2 * odd_counts[a]
-        if c:
-            hist[a] = sign * c
-    return hist
+    # (-1)^(n - |T|) is +1 where |T| has the parity of n
+    plus, minus = (odd, odd.translate(_FLIP)) if n & 1 else (odd.translate(_FLIP), odd)
+    hist = Counter(compress(table, plus))
+    hist.subtract(Counter(compress(table, minus)))
+    return {a: c for a, c in hist.items() if c}
 
 
 def ie_count_covers(g: Graph, k: int) -> int:
@@ -301,71 +303,93 @@ def _ie_partition_sum(hist: Dict[int, int], k: int) -> int:
     return sum(c * (a - 1)**k for a, c in hist.items())
 
 
-def _ie_chromatic(g: Graph) -> int:
-    if g.n == 0:
-        return 0
-    hist = _signed_histogram(_independent_count_table(g), g.n)
-    for k in range(1, g.n + 1):
-        if _ie_partition_sum(hist, k) > 0:
-            return k
-    return g.n
+def _drop_bit(table: List[int], b: int) -> List[int]:
+    """The entries of table whose index lacks bit b, in order: the table
+    of the same sets with the vertex of bit b left out of the graph."""
+    step = 1 << b
+    return list(compress(table, (b"\1" * step + b"\0" * step) * (len(table) >> (b + 1))))
+
+
+def _merge(adj: List[int], i: int, j: int) -> List[int]:
+    """adj with vertex j merged into i < j: i takes j's neighbours, and
+    the vertices above j move down by one."""
+    low = (1 << j) - 1
+    merged = []
+    for v, row in enumerate(adj):
+        if v == j:
+            continue
+        if v == i:
+            row |= adj[j]
+        elif row >> j & 1:
+            row |= 1 << i
+        row &= ~((1 << j) | (1 << v))
+        # drop bit j, shifting higher bits down
+        merged.append((row & low) | ((row >> 1) & ~low))
+    return merged
 
 
 def ie_chromatic_with_construction(g: Graph) -> Tuple[int, List[int]]:
     """chi(G) by counting, plus a proper coloring with exactly chi colors.
 
     The construction repeatedly takes the lexicographically first
-    non-adjacent pair and adds the edge; if the chromatic number is
-    unchanged the edge stays, otherwise every optimal coloring agrees on
-    the pair and the two vertices merge.  When the working graph becomes
-    complete, its vertices are the color classes.
+    non-adjacent pair (i, j) of the working graph h and adds the edge;
+    if the chromatic number is unchanged the edge stays, otherwise every
+    optimal coloring agrees on the pair and the two vertices merge.
+    When h becomes complete, its vertices are the color classes.
+
+    Each trial is decided by an inclusion-exclusion count, but on the
+    independent-set counts of one table built once from G, because of
+    two facts.  The pivot i is the lowest vertex with a non-neighbour
+    above it, so every vertex below i is adjacent to all others, and
+    chi(h) = i + chi(h - {0..i-1}): the trial is decided on h minus
+    those vertices at k - i.  A trial changes only edges at the pivot
+    (an added edge ij, or a merge that drops j and gives i its
+    neighbours), so the table `base` of h - {0..i} is never recomputed:
+    a merge keeps its entries without j's bit, and a pivot step keeps
+    base[::2].  The table of h - {0..i-1} has base as its entries
+    without i and base[R] + base[R & ~N(i)] as those with i, so the
+    trial's signed sum is the sum over that odd half, for N(i) with j,
+    minus the sum over base, which is kept until base changes.
     """
     check_table_size(g.n)
     n = g.n
     if n == 0:
         return 0, []
-    k = _ie_chromatic(g)
+    table = _independent_count_table(g)
+    hist = _signed_histogram(table, n)
+    k = next((c for c in range(1, n) if _ie_partition_sum(hist, c) > 0), n)
+    adj = list(g.adj)
     groups: List[int] = [1 << v for v in range(n)]
-    h = g
-
-    def first_nonedge(gr: Graph) -> Optional[Tuple[int, int]]:
-        for i in range(gr.n):
-            rest = gr.full & ~(gr.adj[i] | ((1 << (i + 1)) - 1))
-            if rest:
-                return i, lowest_bit(rest)
-        return None
-
-    while True:
-        pair = first_nonedge(h)
-        if pair is None:
-            break
-        i, j = pair
-        trial_adj = list(h.adj)
-        trial_adj[i] |= 1 << j
-        trial_adj[j] |= 1 << i
-        trial = Graph(h.n, trial_adj)
-        # chi can only stay or grow by one under an edge addition
-        if ie_count_partitions(trial, k) > 0:
-            h = trial
+    i = 0  # the pivot; every vertex below it is adjacent to all others
+    base = table[::2]  # independent-set counts of h - {0..i}
+    del table  # its odd half is not read again
+    even = None  # the signed sum over base at k - i, until base changes
+    while i + 1 < len(adj):
+        shift = i + 1
+        m = len(adj) - shift  # base is over the 2^m subsets of the vertices above i
+        hood = adj[i] >> shift
+        rest = ~hood & ((1 << m) - 1)
+        if not rest:
+            i, base, even = shift, base[::2], None
+            continue
+        b = lowest_bit(rest)
+        j = shift + b
+        if even is None:
+            even = _ie_partition_sum(_signed_histogram(base, m), k - i)
+        outside = ~(hood | 1 << b)
+        odd = [x + base[r & outside] for r, x in enumerate(base)]
+        # odd minus even is the count at k - i of the trial graph minus
+        # {0..i-1}; chi can only stay or grow by one under an edge addition
+        if _ie_partition_sum(_signed_histogram(odd, m), k - i) > even:
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
         else:
-            groups[i] |= groups[j]
-            merged_adj = []
-            low = (1 << j) - 1
-            for v in range(h.n):
-                if v == j:
-                    continue
-                row = h.adj[v]
-                if v == i:
-                    row |= h.adj[j]
-                elif row >> j & 1:
-                    row |= 1 << i
-                row &= ~((1 << j) | (1 << v))
-                # drop bit j, shifting higher bits down
-                merged_adj.append((row & low) | ((row >> 1) & ~low))
-            groups.pop(j)
-            h = Graph(h.n - 1, merged_adj)
+            groups[i] |= groups.pop(j)
+            adj = _merge(adj, i, j)
+            base = _drop_bit(base, b)
+            even = None
 
-    if h.n != k:
+    if len(adj) != k:
         raise RuntimeError("complete merge graph must have chi vertices")
     coloring = [0] * n
     for color, grp in enumerate(groups):

@@ -161,18 +161,36 @@ def is_p4_free(g: Graph) -> bool:
     return True
 
 
+def _rebind(monkeypatch, fn, replacement) -> None:
+    """Replace fn with replacement at every tclq binding."""
+    for name, module in list(sys.modules.items()):
+        if module is None or not (name == "tclq" or name.startswith("tclq.")):
+            continue
+        for attr, value in list(vars(module).items()):
+            if value is fn:
+                monkeypatch.setattr(module, attr, replacement)
+
+
 def forbid(monkeypatch, fn, message: str) -> None:
     """Make fn fail the test at every tclq binding."""
 
     def refuse(*args, **kwargs):
         pytest.fail(message)
 
-    for name, module in list(sys.modules.items()):
-        if module is None or not (name == "tclq" or name.startswith("tclq.")):
-            continue
-        for attr, value in list(vars(module).items()):
-            if value is fn:
-                monkeypatch.setattr(module, attr, refuse)
+    _rebind(monkeypatch, fn, refuse)
+
+
+def count_calls(monkeypatch, fn) -> list:
+    """Wrap fn at every tclq binding; the returned list gains the
+    arguments of each call."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    _rebind(monkeypatch, fn, counting)
+    return calls
 
 
 def forbid_subset_tables(monkeypatch) -> None:

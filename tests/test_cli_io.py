@@ -1,5 +1,6 @@
 """File formats, generators, and the command line surface."""
 
+import hashlib
 import random
 import subprocess
 import sys
@@ -7,7 +8,7 @@ import tracemalloc
 
 import pytest
 
-from tclq import io, solver_dp, solver_pmc
+from tclq import cli, io, solver_dp, solver_pmc
 from tclq.bitset import mask_of
 from tclq.cli import main
 from tclq.cograph import cotree_to_graph, parse_and_binarize
@@ -444,6 +445,31 @@ class TestCliCover:
         assert main(["cover", "--input", c4_file, "--method", method]) == 0
         assert capsys.readouterr().out == expected
 
+    # sha256 of `tclq cover --method ie` stdout on `tclq gen --family random
+    # --seed s --n 13 --p 0.5`, as the construction with one partition
+    # count per trial printed it
+    IE_STDOUT_SHA256 = {
+        1: "7504776ac0762bba4b49a82955ab0790564ddb7b73903c845591665fcc9bb122",
+        2: "bae751a65fe8f9ed150919d909f55d662b59231283439d002a81b5d0a2d9ee03",
+        3: "f4fee0f29a5afa5e494f16f91bf739a756d98aa69e6354d5885229d8fa723134",
+        4: "1a9d8e6d2dfb95481836d33115013436b36881d9205147b30a8759448593f694",
+        5: "4b5dccf4e08dc2560352c366f18d14cdcca304107d8a609b754f076aa2adcb2c",
+        6: "67ad539e686bf844d494ac923ef86393127f2b0bf8114397f1a682314d9f6e04",
+        7: "77f4d81f1d356a25706803d11b0131e522e0775fafea520bdac64b86d81cb5d2",
+        8: "cd84115bafdc58c79e450ff161603bd8b6d4252239b52a36405738865a02ac4f",
+        9: "2424fe5028e7865331b97a0363104e74e5ba4f71a06dc8d4e18448fee91787c4",
+        10: "fccd1386530a629ae2626f772cfe7efbf8701751a3e1f741197ee1e01d3e34e8",
+    }
+
+    @pytest.mark.parametrize("seed", sorted(IE_STDOUT_SHA256))
+    def test_ie_stdout_pinned(self, seed, tmp_path, capsys):
+        col = str(tmp_path / "g.col")
+        assert main(["gen", "--family", "random", "--seed", str(seed), "--n", "13",
+                     "--p", "0.5", "--out", col]) == 0
+        assert main(["cover", "--input", col, "--method", "ie"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == self.IE_STDOUT_SHA256[seed], out
+
     @pytest.mark.parametrize("method", ["lawler", "ie"])
     def test_zero_vertices(self, method, tmp_path, capsys):
         col = tmp_path / "n0.col"
@@ -612,6 +638,40 @@ class TestCliGen:
                      "--out", str(out)]) == 2
         assert "edge probability" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestParserReuse:
+    """main builds its parser on the first call and reuses it."""
+
+    def test_usage_errors_exit_2_on_every_call(self, c4_file, capsys):
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["cover", "--input", c4_file, "--method", "fast"])
+            assert exc.value.code == 2
+            assert "invalid choice" in capsys.readouterr().err
+            with pytest.raises(SystemExit) as exc:
+                main(["frobnicate"])
+            assert exc.value.code == 2
+            assert "invalid choice" in capsys.readouterr().err
+            assert main(["solve", "--input", c4_file, "--k", "0"]) == 2
+            assert "--k must be at least 1" in capsys.readouterr().err
+
+    def test_options_do_not_carry_over(self, c4_file, capsys):
+        assert main(["cover", "--input", c4_file, "--method", "ie"]) == 0
+        assert main(["cover", "--input", c4_file]) == 0
+        assert capsys.readouterr().out == ("vcc 2\nclique 2 3\nclique 1 4\n"
+                                           "vcc 2\nclique 1 2\nclique 3 4\n")
+
+    def test_built_once(self, c4_file, capsys, monkeypatch):
+        cli._parser.cache_clear()
+        built = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+        for argv in (["solve", "--input", c4_file], ["cover", "--input", c4_file]):
+            assert main(argv) == 0
+        with pytest.raises(SystemExit):
+            main(["gen"])
+        assert built == [1]
 
 
 class TestConsoleScript:

@@ -24,7 +24,7 @@ from tclq.graph import Graph, enumerate_maximal_independent_sets, maximal_clique
 from tclq.oracle import brute_chromatic
 
 from corpus import connected_graphs, graphs_up_to
-from helpers import complete, cycle, empty, path, star
+from helpers import complete, count_calls, cycle, empty, forbid, path, star
 
 
 def nonempty_independent_sets(g: Graph):
@@ -368,6 +368,68 @@ class TestConstructiveColoring:
             k, coloring = ie_chromatic_with_construction(g)
             assert k == brute_chromatic(g)
             self.check(g, k, coloring)
+
+
+def reference_construction(g: Graph):
+    """The constructive coloring with one ie_count_partitions per trial,
+    on the trial graph rebuilt from its edge list: take the first
+    non-adjacent pair (i, j), keep the edge ij if chi stays k, else
+    merge j into i and renumber the vertices above j down by one."""
+    if g.n == 0:
+        return 0, []
+    k = next(c for c in range(1, g.n + 1) if ie_count_partitions(g, c) > 0)
+    groups = [[v] for v in range(g.n)]
+    h = g
+    while True:
+        pair = next(((i, j) for i, j in itertools.combinations(range(h.n), 2)
+                     if not h.has_edge(i, j)), None)
+        if pair is None:
+            break
+        i, j = pair
+        trial = Graph.from_edges(h.n, h.edges() + [(i, j)])
+        if ie_count_partitions(trial, k) > 0:
+            h = trial
+            continue
+        groups[i] += groups.pop(j)
+        name = [i if v == j else v - (v > j) for v in range(h.n)]
+        h = Graph.from_edges(h.n - 1, {tuple(sorted((name[u], name[v])))
+                                       for u, v in h.edges() if name[u] != name[v]})
+    assert h.n == k
+    coloring = [0] * g.n
+    for color, grp in enumerate(groups):
+        for v in grp:
+            coloring[v] = color
+    return k, coloring
+
+
+class TestPivotConstruction:
+    """The construction on pivot tables makes the same decisions as the
+    per-trial count on rebuilt graphs, and builds one table per call."""
+
+    def test_matches_reference_to_6(self, graphs_to_6):
+        for g in graphs_to_6:
+            for h in (g, g.complement()):
+                assert ie_chromatic_with_construction(h) == reference_construction(h), h
+
+    @pytest.mark.parametrize("n", range(7, 16))
+    def test_matches_reference_seeded(self, n):
+        rng = random.Random(700 + n)
+        for p in (0.1, 0.3, 0.5, 0.7, 0.9):
+            g = gen_random(rng, n, p)
+            assert ie_chromatic_with_construction(g) == reference_construction(g), (n, p)
+
+    def test_one_table_and_no_partition_count(self, monkeypatch):
+        rng = random.Random(17)
+        graphs = [cycle(7), complete(5), empty(6), star(5)]
+        graphs += [gen_random(rng, 11, p).complement() for p in (0.3, 0.5, 0.7)]
+        want = [ie_chromatic_with_construction(g) for g in graphs]
+        forbid(monkeypatch, ie_count_partitions,
+               "the construction called ie_count_partitions")
+        tables = count_calls(monkeypatch, cover._independent_count_table)
+        for g, expected in zip(graphs, want):
+            del tables[:]
+            assert ie_chromatic_with_construction(g) == expected
+            assert tables == [(g,)]
 
 
 class TestVcc:
