@@ -3,10 +3,12 @@
 A decomposition is a rooted tree (node 0 is the root, parents[0] == -1)
 with a bag per node and an explicit clique collection per node covering
 the bag.  Validation returns a report of violated conditions instead of
-raising; sanitization enforces the structural hygiene the solvers'
-witness-gluing step may break (empty margins, disconnected components,
-dangling adhesion vertices) and re-derives minimum covers.  Both exact
-solvers reach disconnected graphs through solve_per_component.
+raising.  Witnesses take one path: both general solvers hand their tree
+of bags to from_bag_tree, which numbers and covers it and sanitizes it.
+Sanitization enforces the structural hygiene the solvers' gluing may
+break (empty margins, disconnected components, dangling adhesion
+vertices) and re-derives minimum covers.  Both exact solvers reach
+disconnected graphs through solve_per_component.
 """
 
 from dataclasses import dataclass, field
@@ -33,6 +35,10 @@ class AugmentedTreeDecomposition:
             if p >= 0:
                 out[p].append(i)
         return out
+
+
+# A solver's witness before numbering: (bag, [child BagTree, ...]).
+BagTree = Tuple[int, list]
 
 
 @dataclass(frozen=True)
@@ -82,15 +88,13 @@ def _tree_structure_errors(d: AugmentedTreeDecomposition) -> List[str]:
     return []
 
 
-def validate(g: Graph, d: AugmentedTreeDecomposition,
-             strict_bag_edges: bool = False) -> ValidityReport:
+def validate(g: Graph, d: AugmentedTreeDecomposition) -> ValidityReport:
     """Check the decomposition conditions and report every violation.
 
-    The default width semantics is vertex covering: per bag the cliques
-    must be cliques of G, be contained in the bag, and union to exactly
-    the bag.  strict_bag_edges additionally demands that every G-edge
-    inside a bag lies inside one of its cliques; solver outputs use
-    disjoint minimum covers and generally do not satisfy it.
+    The width semantics is vertex covering: per bag the cliques must be
+    cliques of G, be contained in the bag, and union to exactly the bag.
+    A G-edge inside a bag need not lie inside one of its cliques; solver
+    outputs use disjoint minimum covers.
     """
     report = ValidityReport()
     errs = _tree_structure_errors(d)
@@ -142,12 +146,6 @@ def validate(g: Graph, d: AugmentedTreeDecomposition,
             cover_union |= c
         if cover_union != d.bags[t]:
             report.violations.append(f"cover union: node {t} cliques do not union to the bag")
-        if strict_bag_edges:
-            for (u, v) in g.edges():
-                pair = (1 << u) | (1 << v)
-                if pair & ~d.bags[t] == 0 and not any(pair & ~c == 0 for c in d.covers[t]):
-                    report.violations.append(
-                        f"bag edge coverage: node {t} edge ({u},{v}) in no clique")
     return report
 
 
@@ -168,33 +166,36 @@ def anatomy(d: AugmentedTreeDecomposition, t: int) -> NodeAnatomy:
     return NodeAnatomy(adhesion, d.bags[t] & ~adhesion, cone, cone & ~adhesion)
 
 
-def _subtree_nodes(parents: List[int], t: int) -> List[int]:
-    kids: Dict[int, List[int]] = {}
-    for i, p in enumerate(parents):
-        if p >= 0:
-            kids.setdefault(p, []).append(i)
-    out = []
-    stack = [t]
+def from_bag_tree(g: Graph, root: BagTree, cover: Cover) -> AugmentedTreeDecomposition:
+    """Sanitize a solver's nested (bag, children) tree: nodes numbered
+    in preorder, children in list order, bags covered from cover."""
+    parents: List[int] = []
+    bags: List[int] = []
+    stack: List[Tuple[BagTree, int]] = [(root, -1)]
     while stack:
-        u = stack.pop()
-        out.append(u)
-        stack.extend(kids.get(u, []))
-    return out
+        (bag, children), parent = stack.pop()
+        stack.extend((ch, len(parents)) for ch in reversed(children))
+        parents.append(parent)
+        bags.append(bag)
+    covers = tuple(tuple(sorted(cover.partition(b))) for b in bags)
+    return sanitize(g, AugmentedTreeDecomposition(tuple(parents), tuple(bags), covers), cover)
 
 
 def sanitize(g: Graph, d: AugmentedTreeDecomposition,
              cover: Optional[Cover] = None) -> AugmentedTreeDecomposition:
     """Normalize a valid decomposition into a sane one.
 
-    Repeats three mass-reducing rewrites until none applies: contract a
-    tree edge when one bag contains the other; split a node whose
-    component induces a disconnected subgraph into per-component sibling
-    clones (bags clipped to component plus adhesion); drop adhesion
-    vertices with no neighbor in the node's component from the whole
-    subtree.  Afterwards every bag's cover is a minimum clique partition
-    read from cover (the caller's cover source of g, by default a fresh
-    CoverOracle), and nodes are renumbered breadth-first.  Bags only
-    ever shrink, so the width never increases.
+    Applies one mass-reducing rewrite at a time until none applies, in
+    this order: contract the lowest node whose bag contains or lies in
+    its parent's (the parent keeps the union); prune, at the lowest
+    non-root node, the adhesion vertices with no neighbor in its
+    component from its whole subtree; split the lowest non-root node
+    whose component is disconnected into per-piece clones of its
+    subtree, bags clipped to piece plus adhesion.  Afterwards every
+    bag's cover is a minimum clique partition read from cover (the
+    caller's cover source of g, by default a fresh CoverOracle), and
+    nodes are renumbered breadth-first.  Bags only ever shrink, so the
+    width never increases.
     """
     if cover is None:
         cover = CoverOracle(g)
@@ -204,91 +205,77 @@ def sanitize(g: Graph, d: AugmentedTreeDecomposition,
 
     parents: List[int] = list(d.parents)
     bags: List[int] = list(d.bags)
-    alive: List[bool] = [True] * len(bags)
+    # the live nodes, each with its children, both in increasing order:
+    # that order picks the lowest node and numbers a split's clones
+    kids: Dict[int, List[int]] = {t: [] for t in range(len(bags))}
+    for t, p in enumerate(parents):
+        if p >= 0:
+            kids[p].append(t)
 
-    def live_children(p: int) -> List[int]:
-        return [i for i, pp in enumerate(parents) if alive[i] and pp == p]
-
-    def contract_once() -> bool:
-        for c in range(len(bags)):
-            if not alive[c] or parents[c] < 0:
-                continue
+    def rewrite() -> bool:
+        for c in kids:
             p = parents[c]
-            if bags[c] | bags[p] in (bags[c], bags[p]):
+            if p >= 0 and bags[c] | bags[p] in (bags[c], bags[p]):
                 # keep the superset at the parent slot
-                bags[p] = bags[c] | bags[p]
-                for i in range(len(bags)):
-                    if alive[i] and parents[i] == c:
-                        parents[i] = p
-                alive[c] = False
+                bags[p] |= bags[c]
+                moved = kids.pop(c)
+                for u in moved:
+                    parents[u] = p
+                kids[p] = sorted([u for u in kids[p] if u != c] + moved)
                 return True
-        return False
-
-    def split_once() -> bool:
-        # the root's component is all of V, connected by precondition,
-        # so only non-root nodes can need a split
-        for t in range(len(bags)):
-            if not alive[t] or parents[t] < 0:
-                continue
-            sub = _subtree_nodes([p if alive[i] else -2 for i, p in enumerate(parents)], t)
-            sub = [u for u in sub if alive[u]]
-            cone = 0
-            for u in sub:
-                cone |= bags[u]
+        split = None
+        for t in kids:
             par = parents[t]
-            adhesion = bags[t] & bags[par]
-            comp = cone & ~adhesion
-            pieces = g.components_within(comp)
-            if len(pieces) <= 1:
+            if par < 0:
+                # the root's component is all of V: connected, no adhesion
                 continue
-            # clone the subtree once per piece, clipped to piece + adhesion
-            for piece in pieces:
-                keep = piece | adhesion
-                remap = {}
-                for u in sub:
-                    remap[u] = len(bags)
-                    parents.append(par if u == t else remap[parents[u]])
-                    bags.append(bags[u] & keep)
-                    alive.append(True)
-            for u in sub:
-                alive[u] = False
-            return True
-        return False
-
-    def prune_once() -> bool:
-        for t in range(len(bags)):
-            if not alive[t] or parents[t] < 0:
-                continue
-            sub = _subtree_nodes([p if alive[i] else -2 for i, p in enumerate(parents)], t)
-            sub = [u for u in sub if alive[u]]
-            cone = 0
-            for u in sub:
+            sub, stack, cone = [], [t], 0
+            while stack:
+                u = stack.pop()
+                sub.append(u)
                 cone |= bags[u]
-            adhesion = bags[t] & bags[parents[t]]
+                stack.extend(kids[u])
+            adhesion = bags[t] & bags[par]
             comp = cone & ~adhesion
             drop = 0
             for v in bits(adhesion):
                 if g.adj[v] & comp == 0:
                     drop |= 1 << v
-            if not drop:
-                continue
+            if drop:
+                for u in sub:
+                    bags[u] &= ~drop
+                return True
+            if split is None:
+                pieces = g.components_within(comp)
+                if len(pieces) > 1:
+                    split = t, par, sub, adhesion, pieces
+        if split is None:
+            return False
+        t, par, sub, adhesion, pieces = split
+        kids[par].remove(t)
+        for piece in pieces:
+            keep = piece | adhesion
+            remap: Dict[int, int] = {}
             for u in sub:
-                bags[u] &= ~drop
-            return True
-        return False
+                remap[u] = new = len(bags)
+                parent = par if u == t else remap[parents[u]]
+                parents.append(parent)
+                bags.append(bags[u] & keep)
+                kids[new] = []
+                kids[parent].append(new)
+        for u in sub:
+            del kids[u]
+        return True
 
     steps = 0
     cap = 200 + 40 * len(bags) * max(1, g.n)
-    while True:
-        if contract_once() or prune_once() or split_once():
-            steps += 1
-            if steps > cap:
-                raise RuntimeError("sanitize failed to converge")
-            continue
-        break
+    while rewrite():
+        steps += 1
+        if steps > cap:
+            raise RuntimeError("sanitize failed to converge")
 
     # renumber breadth-first from the surviving root
-    roots = [i for i in range(len(bags)) if alive[i] and parents[i] == -1]
+    roots = [t for t in kids if parents[t] == -1]
     if len(roots) != 1:
         raise RuntimeError("sanitize lost the root")
     order = [roots[0]]
@@ -296,7 +283,7 @@ def sanitize(g: Graph, d: AugmentedTreeDecomposition,
     queue = [roots[0]]
     while queue:
         t = queue.pop(0)
-        for c in sorted(live_children(t), key=lambda i: (bags[i], i)):
+        for c in sorted(kids[t], key=lambda i: (bags[i], i)):
             pos[c] = len(order)
             order.append(c)
             queue.append(c)

@@ -39,7 +39,7 @@ from .bitset import bits
 from .cover import Cover, CoverOracle, _check_cap
 # unused here; bench/tests/test_bench.py asserts the tracer patches this binding
 from .cover import lawler_table  # noqa: F401
-from .decomposition import AugmentedTreeDecomposition, sanitize, solve_per_component
+from .decomposition import AugmentedTreeDecomposition, BagTree, from_bag_tree, solve_per_component
 from .graph import Graph, enumerate_minimal_separators
 
 
@@ -49,29 +49,7 @@ class BlockEntry:
     part: int
     size: int
     answer: Optional[bool] = None
-    witness: Optional["_WNode"] = None
-
-
-@dataclass
-class _WNode:
-    bag: int
-    children: List["_WNode"]
-
-
-def _to_decomposition(g: Graph, cover: Cover, root: _WNode) -> AugmentedTreeDecomposition:
-    parents: List[int] = []
-    bags: List[int] = []
-    covers: List[Tuple[int, ...]] = []
-    stack: List[Tuple[_WNode, int]] = [(root, -1)]
-    while stack:
-        node, parent = stack.pop()
-        idx = len(parents)
-        parents.append(parent)
-        bags.append(node.bag)
-        covers.append(tuple(sorted(cover.partition(node.bag))))
-        for ch in reversed(node.children):
-            stack.append((ch, idx))
-    return AugmentedTreeDecomposition(tuple(parents), tuple(bags), tuple(covers))
+    witness: Optional[BagTree] = None
 
 
 def _root_order(separators: List[int]) -> List[int]:
@@ -102,14 +80,11 @@ def decide_tcl_at_most_k(
         raise ValueError("decision procedure requires a connected graph")
     at_most = cover.at_most
     if at_most(g.full, k):
-        atd = _to_decomposition(g, cover, _WNode(g.full, []))
-        if g.n:
-            atd = sanitize(g, atd, cover)
-        return True, atd
+        return True, from_bag_tree(g, (g.full, []), cover)
     if entries is None:
         entries = {}
 
-    def yes(sep: int, comp: int) -> Optional[_WNode]:
+    def yes(sep: int, comp: int) -> Optional[BagTree]:
         key = (sep, comp)
         ent = entries.get(key)
         if ent is not None and ent.answer is not None:
@@ -118,13 +93,13 @@ def decide_tcl_at_most_k(
         ent = BlockEntry(sep, part, part.bit_count())
         entries[key] = ent
         if at_most(part, k):
-            ent.answer, ent.witness = True, _WNode(part, [])
+            ent.answer, ent.witness = True, (part, [])
             return ent.witness
         nb = g.neighbors(comp)
         if nb != sep:
             w = yes(nb, comp)
             if w is not None:
-                ent.answer, ent.witness = True, _WNode(sep, [w])
+                ent.answer, ent.witness = True, (sep, [w])
                 return ent.witness
         for v in bits(comp):
             hub = sep | (1 << v)
@@ -138,7 +113,7 @@ def decide_tcl_at_most_k(
                     break
                 kids.append(w)
             if kids is not None:
-                ent.answer, ent.witness = True, _WNode(hub, kids)
+                ent.answer, ent.witness = True, (hub, kids)
                 return ent.witness
         ent.answer = False
         return None
@@ -156,9 +131,7 @@ def decide_tcl_at_most_k(
                 break
             kids.append(w)
         if kids is not None:
-            atd = _to_decomposition(g, cover, _WNode(s, kids))
-            atd = sanitize(g, atd, cover)
-            return True, atd
+            return True, from_bag_tree(g, (s, kids), cover)
     return False, None
 
 

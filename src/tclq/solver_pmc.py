@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .cover import Cover, CoverOracle, _check_cap, lawler_table
-from .decomposition import AugmentedTreeDecomposition, sanitize, solve_per_component
+from .decomposition import AugmentedTreeDecomposition, BagTree, from_bag_tree, solve_per_component
 from .graph import Graph, _pmcs_and_separators, enumerate_minimal_separators, is_pmc
 
 # Largest n whose catalog comes from the dense table and subset sweep.
@@ -88,11 +88,6 @@ def build_catalog(g: Graph) -> Tuple[PmcCatalog, Cover]:
     return catalog, cover
 
 
-def _single_bag(g: Graph, cover: Cover) -> AugmentedTreeDecomposition:
-    return AugmentedTreeDecomposition(
-        (-1,), (g.full,), (tuple(sorted(cover.partition(g.full))),))
-
-
 def block_index(g: Graph, catalog: PmcCatalog) -> Dict[Tuple[int, int], List[int]]:
     """The full blocks (S, C) by part size, each with its admissible
     PMCs in catalog order (the index in the module docstring)."""
@@ -122,11 +117,9 @@ def tcl_via_pmc(g: Graph, catalog: PmcCatalog) -> Tuple[int, AugmentedTreeDecomp
     if not g.is_connected():
         raise ValueError("block recurrence requires a connected graph")
     cover = catalog.cover
-    if g.n == 0:
-        return 0, AugmentedTreeDecomposition((-1,), (0,), ((),))
     if not catalog.separators:
-        # no separator means the graph is complete: one bag, one clique
-        return cover.value(g.full), _single_bag(g, cover)
+        # no separator means the graph is complete or empty: one bag
+        return cover.value(g.full), from_bag_tree(g, (g.full, []), cover)
 
     served = block_index(g, catalog)
     val: Dict[Tuple[int, int], int] = {}
@@ -165,26 +158,17 @@ def tcl_via_pmc(g: Graph, catalog: PmcCatalog) -> Tuple[int, AugmentedTreeDecomp
         if best_total is None or total < best_total:
             best_total, best_sep = total, s
 
-    def block_witness(sep: int, comp: int, parents, bags, covers, parent: int) -> None:
+    def block_witness(sep: int, comp: int) -> BagTree:
         omega = pick[(sep, comp)]
         part = sep | comp
-        bag = part if omega is None else omega
-        idx = len(parents)
-        parents.append(parent)
-        bags.append(bag)
-        covers.append(tuple(sorted(cover.partition(bag))))
-        if omega is not None:
-            for d, nd in g.component_neighborhoods(part & ~omega):
-                block_witness(nd, d, parents, bags, covers, idx)
+        if omega is None:
+            return part, []
+        return omega, [block_witness(nd, d)
+                       for d, nd in g.component_neighborhoods(part & ~omega)]
 
-    parents: List[int] = [-1]
-    bags: List[int] = [best_sep]
-    covers: List[Tuple[int, ...]] = [tuple(sorted(cover.partition(best_sep)))]
-    for c, nc in g.component_neighborhoods(g.full & ~best_sep):
-        block_witness(nc, c, parents, bags, covers, 0)
-    atd = AugmentedTreeDecomposition(tuple(parents), tuple(bags), tuple(covers))
-    atd = sanitize(g, atd, cover)
-    return best_total, atd
+    root = (best_sep, [block_witness(nc, c)
+                       for c, nc in g.component_neighborhoods(g.full & ~best_sep)])
+    return best_total, from_bag_tree(g, root, cover)
 
 
 def _tcl_connected(g: Graph) -> Tuple[int, AugmentedTreeDecomposition]:

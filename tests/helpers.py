@@ -2,13 +2,14 @@
 
 import sys
 from itertools import combinations
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 import pytest
 
 from tclq import cover, io
 from tclq.bitset import bits, mask_of
 from tclq.cli import main
+from tclq.cover import Cover, CoverOracle
 from tclq.decomposition import AugmentedTreeDecomposition, anatomy, validate, width
 from tclq.graph import Graph, maximal_cliques_within
 
@@ -84,6 +85,151 @@ def perturb(rng, g: Graph, d: AugmentedTreeDecomposition) -> AugmentedTreeDecomp
             covers.append(list(covers[p]) + list(covers[c]))
             parents[c] = mid
     return decomp(parents, bags, covers)
+
+
+def merge_siblings(rng, d: AugmentedTreeDecomposition) -> AugmentedTreeDecomposition:
+    """Fold two sibling nodes into one while keeping the decomposition
+    valid: the merged node's bag and cover are the unions, and the
+    second sibling's children move to it.  Its component is then the
+    two siblings' components side by side, which no edge joins when
+    their adhesions lie in the parent.  Returns d when no node has two
+    children."""
+    kids = d.children()
+    parents_with_pairs = [t for t in range(d.num_nodes) if len(kids[t]) >= 2]
+    if not parents_with_pairs:
+        return d
+    a, b = rng.sample(kids[rng.choice(parents_with_pairs)], 2)
+    parents = list(d.parents)
+    bags = list(d.bags)
+    covers = [list(c) for c in d.covers]
+    bags[a] |= bags[b]
+    covers[a] += covers[b]
+    for t in kids[b]:
+        parents[t] = a
+    keep = [t for t in range(d.num_nodes) if t != b]
+    pos = {t: i for i, t in enumerate(keep)}
+    return decomp([-1 if parents[t] < 0 else pos[parents[t]] for t in keep],
+                  [bags[t] for t in keep], [covers[t] for t in keep])
+
+
+def reference_sanitize(g: Graph, d: AugmentedTreeDecomposition,
+                       cover: Optional[Cover] = None) -> AugmentedTreeDecomposition:
+    """sanitize with a liveness flag per node and a child scan per
+    subtree: the same three rewrites, each a separate pass over the
+    nodes, tried as contraction, then prune, then split.  The
+    differential tests hold tclq.decomposition.sanitize to it."""
+    if cover is None:
+        cover = CoverOracle(g)
+    rep = validate(g, d)
+    if not rep.ok:
+        raise ValueError(f"sanitize requires a valid decomposition: {rep}")
+
+    parents: List[int] = list(d.parents)
+    bags: List[int] = list(d.bags)
+    alive: List[bool] = [True] * len(bags)
+
+    def subtree(t: int) -> List[int]:
+        kids: Dict[int, List[int]] = {}
+        for i, p in enumerate(parents):
+            if alive[i] and p >= 0:
+                kids.setdefault(p, []).append(i)
+        out = []
+        stack = [t]
+        while stack:
+            u = stack.pop()
+            out.append(u)
+            stack.extend(kids.get(u, []))
+        return out
+
+    def contract_once() -> bool:
+        for c in range(len(bags)):
+            if not alive[c] or parents[c] < 0:
+                continue
+            p = parents[c]
+            if bags[c] | bags[p] in (bags[c], bags[p]):
+                bags[p] = bags[c] | bags[p]
+                for i in range(len(bags)):
+                    if alive[i] and parents[i] == c:
+                        parents[i] = p
+                alive[c] = False
+                return True
+        return False
+
+    def split_once() -> bool:
+        for t in range(len(bags)):
+            if not alive[t] or parents[t] < 0:
+                continue
+            sub = subtree(t)
+            cone = 0
+            for u in sub:
+                cone |= bags[u]
+            par = parents[t]
+            adhesion = bags[t] & bags[par]
+            pieces = g.components_within(cone & ~adhesion)
+            if len(pieces) <= 1:
+                continue
+            for piece in pieces:
+                keep = piece | adhesion
+                remap = {}
+                for u in sub:
+                    remap[u] = len(bags)
+                    parents.append(par if u == t else remap[parents[u]])
+                    bags.append(bags[u] & keep)
+                    alive.append(True)
+            for u in sub:
+                alive[u] = False
+            return True
+        return False
+
+    def prune_once() -> bool:
+        for t in range(len(bags)):
+            if not alive[t] or parents[t] < 0:
+                continue
+            sub = subtree(t)
+            cone = 0
+            for u in sub:
+                cone |= bags[u]
+            adhesion = bags[t] & bags[parents[t]]
+            comp = cone & ~adhesion
+            drop = 0
+            for v in bits(adhesion):
+                if g.adj[v] & comp == 0:
+                    drop |= 1 << v
+            if not drop:
+                continue
+            for u in sub:
+                bags[u] &= ~drop
+            return True
+        return False
+
+    steps = 0
+    cap = 200 + 40 * len(bags) * max(1, g.n)
+    while contract_once() or prune_once() or split_once():
+        steps += 1
+        if steps > cap:
+            raise RuntimeError("sanitize failed to converge")
+
+    roots = [i for i in range(len(bags)) if alive[i] and parents[i] == -1]
+    if len(roots) != 1:
+        raise RuntimeError("sanitize lost the root")
+    order = [roots[0]]
+    pos = {roots[0]: 0}
+    queue = [roots[0]]
+    while queue:
+        t = queue.pop(0)
+        live = [i for i, p in enumerate(parents) if alive[i] and p == t]
+        for c in sorted(live, key=lambda i: (bags[i], i)):
+            pos[c] = len(order)
+            order.append(c)
+            queue.append(c)
+    new_parents = tuple(-1 if parents[t] < 0 else pos[parents[t]] for t in order)
+    new_bags = tuple(bags[t] for t in order)
+    new_covers = tuple(tuple(sorted(cover.partition(b))) for b in new_bags)
+    out = AugmentedTreeDecomposition(new_parents, new_bags, new_covers)
+    rep = validate(g, out)
+    if not rep.ok:
+        raise RuntimeError(f"sanitize broke the decomposition: {rep}")
+    return out
 
 
 def assert_good_witness(g: Graph, d: AugmentedTreeDecomposition,

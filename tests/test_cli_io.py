@@ -296,6 +296,33 @@ class TestCliSolve:
     def test_missing_file(self, tmp_path, capsys):
         assert main(["solve", "--input", str(tmp_path / "nope.col")]) == 2
 
+    @pytest.mark.parametrize("command", [["solve", "--input", "{g}"], ["verify", "{g}", "{g}"]])
+    def test_unindexable_n_exits_3(self, command, tmp_path, capsys):
+        # [0] * n raises OverflowError for an n beyond the index range
+        huge = tmp_path / "huge.col"
+        huge.write_text("p edge 100000000000000000000 0\n")
+        assert main([arg.format(g=huge) for arg in command]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_unallocatable_n_exits_3(self, tmp_path):
+        # under a 2 GB address-space limit, [0] * n raises MemoryError
+        resource = pytest.importorskip("resource")
+        big = tmp_path / "big.col"
+        big.write_text("p edge 100000000000 0\n")
+        limit = 2_000_000_000
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import resource, sys; from tclq.cli import main; "
+             f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit})); "
+             "sys.exit(main(sys.argv[1:]))",
+             "solve", "--input", str(big)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
     @pytest.mark.parametrize("algo", ["dp", "pmc"])
     def test_clique_components_skip_the_solver(self, algo, tmp_path, capsys, monkeypatch):
         # isolated vertices and a triangle: one bag and one clique each,

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from tclq import decomposition, generators, solver_dp, solver_pmc
 from tclq.bitset import mask_of
 from tclq.cover import CoverOracle, lawler_table
 from tclq.decomposition import (
@@ -22,10 +23,14 @@ from helpers import (
     assert_good_witness,
     assert_sane,
     complete,
+    count_calls,
     cycle,
     decomp,
+    merge_siblings,
     path,
     perturb,
+    reference_sanitize,
+    star,
 )
 
 
@@ -108,8 +113,8 @@ class TestValidate:
         report = validate(complete(4), d)
         assert any("leaves the bag" in v for v in report.violations)
 
-    def test_strict_bag_edges(self):
-        # disjoint minimum covers miss in-bag edges; default mode accepts
+    def test_disjoint_covers_may_miss_bag_edges(self):
+        # disjoint minimum covers miss in-bag edges, and validate accepts
         d = decomp(
             [-1, 0],
             [mask_of([0, 1, 2]), mask_of([0, 2, 3])],
@@ -118,10 +123,7 @@ class TestValidate:
                 [mask_of([2, 3]), mask_of([0])],
             ],
         )
-        g = cycle(4)
-        assert validate(g, d).ok
-        strict = validate(g, d, strict_bag_edges=True)
-        assert any("bag edge coverage" in v for v in strict.violations)
+        assert validate(cycle(4), d).ok
 
     def test_structure_errors(self):
         no_nodes = decomp([], [], [])
@@ -282,3 +284,78 @@ class TestSanitize:
             out = sanitize(g, d)
             assert width(out) <= k
             assert_good_witness(g, out)
+
+
+class TestSanitizeMatchesReference:
+    """sanitize keeps one child map in step with its rewrites; it must
+    give exactly what the pass-per-rewrite reference gives."""
+
+    @staticmethod
+    def assert_same(g, d, cover=None):
+        out = sanitize(g, d, cover)
+        ref = reference_sanitize(g, d, cover)
+        assert out.parents == ref.parents
+        assert out.bags == ref.bags
+        assert out.covers == ref.covers
+
+    def test_seeded_corpus(self, monkeypatch):
+        rng = random.Random(101)
+        graphs = rng.sample(connected_graphs(6), 30)
+        graphs += [generators.gen_random(rng, n, p, connected=True)
+                   for n in (7, 8, 9, 10) for p in (0.3, 0.5)]
+        raw = count_calls(monkeypatch, sanitize)
+        witnesses = []
+        for g in graphs:
+            witnesses += [(g, solver_dp.compute_tcl(g)[1]), (g, solver_pmc.compute_tcl(g)[1])]
+        monkeypatch.undo()
+        # the solvers' bag trees exactly as they reached sanitize
+        assert raw
+        for args in raw:
+            self.assert_same(*args)
+        for g, d in witnesses:
+            self.assert_same(g, d)
+            messy = perturb(rng, g, d)
+            self.assert_same(g, messy)
+            for base in (d, messy):
+                merged = merge_siblings(rng, base)
+                assert validate(g, merged).ok
+                self.assert_same(g, merged)
+                self.assert_same(g, merge_siblings(rng, merged))
+
+    def test_split_by_hand(self):
+        # K1,3 with centre 0: the child {0, 2, 3} meets the root {0, 1} in
+        # {0}, and its component {2, 3} has no edge, so it splits into
+        # {0, 2} and {0, 3}
+        g = star(3)
+        d = decomp([-1, 0], [mask_of([0, 1]), mask_of([0, 2, 3])],
+                   [[mask_of([0, 1])], [mask_of([0, 2]), mask_of([3])]])
+        out = sanitize(g, d)
+        assert out.parents == (-1, 0, 0)
+        assert out.bags == (mask_of([0, 1]), mask_of([0, 2]), mask_of([0, 3]))
+        assert out.covers == ((mask_of([0, 1]),), (mask_of([0, 2]),), (mask_of([0, 3]),))
+        self.assert_same(g, d)
+
+    def test_root_inside_its_child_contracts(self):
+        # on K1,2 a root {0} with one child {0, 1, 2} is contracted before
+        # any split is tried: one bag, covered by two cliques
+        g = star(2)
+        d = decomp([-1, 0], [mask_of([0]), mask_of([0, 1, 2])],
+                   [[mask_of([0])], [mask_of([0, 1]), mask_of([2])]])
+        out = sanitize(g, d)
+        assert out.parents == (-1,)
+        assert out.bags == (mask_of([0, 1, 2]),)
+        assert width(out) == 2
+        self.assert_same(g, d)
+
+    def test_builder_calls_sanitize_through_the_module(self, monkeypatch):
+        # nodes are numbered in preorder, children in list order
+        g = path(5)
+        a, b, c, e = mask_of([2]), mask_of([1, 2]), mask_of([0, 1]), mask_of([2, 3, 4])
+        calls = count_calls(monkeypatch, decomposition.sanitize)
+        d = decomposition.from_bag_tree(g, (a, [(b, [(c, [])]), (e, [])]), CoverOracle(g))
+        assert len(calls) == 1
+        raw = calls[0][1]
+        assert raw.parents == (-1, 0, 1, 0)
+        assert raw.bags == (a, b, c, e)
+        assert validate(g, raw).ok and [len(c) for c in raw.covers] == [1, 1, 1, 2]
+        assert d == sanitize(g, raw)
