@@ -12,9 +12,11 @@ disconnected graphs through solve_per_component.
 """
 
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import or_
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .bitset import bit_list, bits
+from .bitset import bit_list, bits, lowest_bit
 from .cover import Cover, CoverOracle
 from .graph import Graph, expand_mask
 
@@ -329,22 +331,29 @@ def solve_per_component(
     g: Graph, solve_connected: Callable[[Graph], Tuple[int, AugmentedTreeDecomposition]],
 ) -> Tuple[int, AugmentedTreeDecomposition]:
     """tcl of g with a witness from a solver for connected graphs: the
-    maximum over components, and the per-component trees joined into one.
+    maximum over components, and the per-component trees joined into one
+    in least-vertex order.
 
-    A clique component, an isolated vertex included, is answered without
-    the solver: tcl 1, one bag covered by one clique, which is the
-    witness both solvers give it."""
+    A clique component is answered without the solver: tcl 1, one bag
+    covered by one clique, which is the witness both solvers give it.
+    The isolated vertices are such components; they are read off the
+    adjacency rows in one pass, and only the rest is swept."""
     if g.n == 0:
         return 0, AugmentedTreeDecomposition((-1,), (0,), ((),))
-    parts: List[AugmentedTreeDecomposition] = []
-    best = 0
-    for comp in g.components_within(g.full):
+
+    def one_bag(comp: int) -> AugmentedTreeDecomposition:
+        return AugmentedTreeDecomposition((-1,), (comp,), ((comp,),))
+
+    parts = {v: one_bag(1 << v) for v, row in enumerate(g.adj) if not row}
+    best = 1 if parts else 0
+    # the union of the rows is the set of vertices with a neighbour
+    for comp in g.components_within(reduce(or_, filter(None, g.adj), 0)):
         if g.is_clique(comp):
-            k, atd = 1, AugmentedTreeDecomposition((-1,), (comp,), ((comp,),))
+            k, atd = 1, one_bag(comp)
         else:
             sub, verts = g.induced_subgraph(comp)
             k, atd = solve_connected(sub)
             atd = relabel(atd, verts)
         best = max(best, k)
-        parts.append(atd)
-    return best, combine_forest(parts)
+        parts[lowest_bit(comp)] = atd
+    return best, combine_forest([parts[v] for v in sorted(parts)])

@@ -10,6 +10,7 @@ each component C of G[s] with N(C) from the adjacency rows its search
 ORs together, walking bits with an inline lowest-bit loop.
 """
 
+from functools import cache
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .bitset import bit_list, bits, mask_of
@@ -251,10 +252,15 @@ def _pmcs_and_separators(g: Graph) -> Tuple[List[int], List[int]]:
     that G_{i+1} adds, every PMC of G_{i+1} is one of: Omega' + a or
     Omega' for a PMC Omega' of G_i; S + a for S in Delta(G_{i+1}); or,
     when a is not in S and S is not in Delta(G_i), S + (T & C) for T in
-    Delta(G_{i+1}) and C a component of G_{i+1} - S.  Each candidate is
-    checked with is_pmc, so the work follows the number of minimal
-    separators and PMCs instead of 2^n.  The last prefix graph is G
-    itself, so its Delta is returned alongside.
+    Delta(G_{i+1}) and C a component of G_{i+1} - S.  By the lemma
+    behind the listing, Omega' + a or Omega' is a PMC of G_{i+1}, so
+    Omega' is kept untested when Omega' + a fails.  A minimal separator
+    is never a PMC, so S + a with a in S, and every other candidate in
+    Delta(G_{i+1}), is never tested.  The S + (T & C) of one S form one
+    set, and each remaining candidate is checked once with is_pmc, so
+    the work follows the number of minimal separators and PMCs instead
+    of 2^n.  The last prefix graph is G itself, so its Delta is
+    returned alongside.
     """
     n = g.n
     if n == 0:
@@ -279,31 +285,23 @@ def _pmcs_and_separators(g: Graph) -> Tuple[List[int], List[int]]:
         gi = Graph(i + 1, [a & low for a in h_adj[:i + 1]])
         a = 1 << i
         seps = enumerate_minimal_separators(gi)
-        tested = {}
-
-        def pmc(omega: int) -> bool:
-            hit = tested.get(omega)
-            if hit is None:
-                hit = tested[omega] = is_pmc(gi, omega)
-            return hit
-
+        sep_set = set(seps)
+        # a minimal separator is never a PMC, so it is never tested
+        pmc = cache(lambda om: om not in sep_set and is_pmc(gi, om))
         found = set()
         for om in pmcs:
-            if pmc(om | a):
-                found.add(om | a)
-            elif pmc(om):
-                found.add(om)
+            found.add(om | a if pmc(om | a) else om)
         for s in seps:
+            if s & a:
+                continue
             if pmc(s | a):
                 found.add(s | a)
-            if s & a or s in prev_seps:
+            if s in prev_seps:
                 continue
             comps = gi.components_within(gi.full & ~s)
-            for t in seps:
-                for c in comps:
-                    if pmc(s | (t & c)):
-                        found.add(s | (t & c))
-        pmcs, prev_seps = found, set(seps)
+            cands = {s | (t & c) for t in seps for c in comps}
+            found.update(om for om in cands - found if pmc(om))
+        pmcs, prev_seps = found, sep_set
     return (sorted(expand_mask(p, order) for p in pmcs),
             sorted(expand_mask(s, order) for s in seps))
 

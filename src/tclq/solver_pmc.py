@@ -25,15 +25,24 @@ full component C of N(D) (Bouchitte & Todinca, SICOMP 2001), so Omega
 serves each block (N(D), C).  That is every block it is admissible for:
 if S proper-subset Omega subseteq S union C, another full component of
 S avoids Omega and is a component D of G - Omega with N(D) = S.  Each
-block's list keeps catalog order, so ties go to the same Omega.
+block's list keeps catalog order, so ties go to the same Omega.  With
+each Omega the index keeps the block's sub-blocks, the components of
+G - Omega that see beyond S, so the DP sweeps no part again.
+
+Covers are asked lazily.  An Omega's floor is the largest value of its
+sub-blocks.  It is skipped when the floor, or a single search showing
+vcc(Omega) >= best, rules out beating the best so far; otherwise it
+costs the floor when vcc(Omega) <= floor, and vcc(Omega) only above it.
+The graph itself is the last block, (empty set, V), whose options are
+the inclusion-minimal separators with all components of G - S.
 
 Above DENSE_MAX_N vertices, nothing here is indexed by all 2^n
 subsets.  The PMCs and the minimal separators come from one listing
 (graph.enumerate_pmcs and its helper), which builds the PMCs from the
-minimal separators, and every vcc value and bag partition comes from one
-memoized CoverOracle, which solves only the PMCs, separators and bags
-the recurrence reads.  Up to DENSE_MAX_N vertices the catalog comes from
-a Lawler table and an is_pmc sweep over all subsets.
+minimal separators, and every vcc test and bag partition comes from one
+memoized CoverOracle, which solves only the sets the recurrence reads.
+Up to DENSE_MAX_N vertices the catalog comes from a Lawler table and an
+is_pmc sweep over all subsets.
 """
 
 from dataclasses import dataclass, field
@@ -53,20 +62,19 @@ DENSE_MAX_N = 4
 @dataclass
 class PmcCatalog:
     pmcs: List[int]
-    pmc_vcc: Dict[int, int]
     separators: List[int]
-    sep_vcc: Dict[int, int]
     inclusion_minimal: List[int]
     cover: Cover = field(repr=False, default=None)
 
 
 def build_catalog(g: Graph) -> Tuple[PmcCatalog, Cover]:
-    """All PMCs of connected G, all minimal separators, their vcc values
-    from one shared cover source, and the inclusion-minimal separators.
+    """All PMCs of connected G, all minimal separators, the
+    inclusion-minimal separators, and the cover source the DP asks.
 
     Up to DENSE_MAX_N vertices the PMCs come from an is_pmc sweep and the
-    values from a Lawler table; above it the PMCs are listed from the
-    minimal separators and the values come from a lazy oracle."""
+    cover is a Lawler table; above it the PMCs are listed from the
+    minimal separators and the cover is a lazy oracle.  No vcc value is
+    computed here."""
     _check_cap(g)
     if g.n <= DENSE_MAX_N:
         cover: Cover = lawler_table(g)
@@ -77,38 +85,36 @@ def build_catalog(g: Graph) -> Tuple[PmcCatalog, Cover]:
         pmcs, seps = _pmcs_and_separators(g)
     sep_set = set(seps)
     incl_min = [s for s in seps if not any(t != s and t & ~s == 0 for t in sep_set)]
-    catalog = PmcCatalog(
-        pmcs=pmcs,
-        pmc_vcc={p: cover.value(p) for p in pmcs},
-        separators=seps,
-        sep_vcc={s: cover.value(s) for s in seps},
-        inclusion_minimal=incl_min,
-        cover=cover,
-    )
-    return catalog, cover
+    return PmcCatalog(pmcs, seps, incl_min, cover), cover
 
 
-def block_index(g: Graph, catalog: PmcCatalog) -> Dict[Tuple[int, int], List[int]]:
+def block_index(g: Graph, catalog: PmcCatalog) -> Dict[Tuple[int, int], list]:
     """The full blocks (S, C) by part size, each with its admissible
-    PMCs in catalog order (the index in the module docstring)."""
+    PMCs in catalog order (the index in the module docstring).  With
+    each PMC Omega come the sub-blocks (N(D), D) for the components D of
+    the part minus Omega: the components of G - Omega that see beyond S,
+    in the order of the sweep."""
     blocks: List[Tuple[int, int]] = []
     for s in catalog.separators:
         for c, nc in g.component_neighborhoods(g.full & ~s):
             if nc == s:
                 blocks.append((s, c))
     blocks.sort(key=lambda b: ((b[0] | b[1]).bit_count(), b[0] | b[1], b[0]))
-    served: Dict[Tuple[int, int], List[int]] = {blk: [] for blk in blocks}
+    served: Dict[Tuple[int, int], list] = {blk: [] for blk in blocks}
     for omega in catalog.pmcs:
         pairs = g.component_neighborhoods(g.full & ~omega)
         for _, sep in pairs:
             # C: V - S without the components of G - Omega that see only S
             comp = g.full & ~sep
+            subs = []
             for d, nd in pairs:
-                if nd & ~sep == 0:
+                if nd & ~sep:
+                    subs.append((nd, d))
+                else:
                     comp &= ~d
-            omegas = served[(sep, comp)]
-            if not omegas or omegas[-1] != omega:
-                omegas.append(omega)
+            entries = served[(sep, comp)]
+            if not entries or entries[-1][0] != omega:
+                entries.append((omega, subs))
     return served
 
 
@@ -122,53 +128,39 @@ def tcl_via_pmc(g: Graph, catalog: PmcCatalog) -> Tuple[int, AugmentedTreeDecomp
         return cover.value(g.full), from_bag_tree(g, (g.full, []), cover)
 
     served = block_index(g, catalog)
+    # the graph is the last block, (empty, V), with the root separators
+    root = (0, g.full)
+    served[root] = [(s, [(nc, c) for c, nc in g.component_neighborhoods(g.full & ~s)])
+                    for s in catalog.inclusion_minimal]
     val: Dict[Tuple[int, int], int] = {}
-    pick: Dict[Tuple[int, int], Optional[int]] = {}
-    for blk, omegas in served.items():
-        sep, comp = blk
-        part = sep | comp
+    pick: Dict[Tuple[int, int], Tuple[int, List[Tuple[int, int]]]] = {}
+    for blk, entries in served.items():
+        part = blk[0] | blk[1]
+        size = part.bit_count()
         best: Optional[int] = None
-        best_omega: Optional[int] = None
-        for omega in omegas:
-            cost = catalog.pmc_vcc[omega]
-            for d, nd in g.component_neighborhoods(part & ~omega):
-                sub = (nd, d)
-                if (nd | d).bit_count() >= part.bit_count():
+        for omega, subs in entries:
+            floor = 0
+            for sub in subs:
+                if (sub[0] | sub[1]).bit_count() >= size:
                     raise RuntimeError("sub-block must shrink")
                 if sub not in val:
                     raise RuntimeError("sub-block value missing from the schedule")
-                cost = max(cost, val[sub])
-            if best is None or cost < best:
-                best, best_omega = cost, omega
+                floor = max(floor, val[sub])
+            if best is not None and (floor >= best or not cover.at_most(omega, best - 1)):
+                continue
+            best = floor if cover.at_most(omega, floor) else cover.value(omega)
+            pick[blk] = omega, subs
         if best is None:
             # inclusion-minimal block: single realization bag
-            best, best_omega = cover.value(part), None
+            best = cover.value(part)
+            pick[blk] = part, []
         val[blk] = best
-        pick[blk] = best_omega
 
-    best_total: Optional[int] = None
-    best_sep: Optional[int] = None
-    for s in catalog.inclusion_minimal:
-        total = catalog.sep_vcc[s]
-        for c, nc in g.component_neighborhoods(g.full & ~s):
-            sub = (nc, c)
-            if sub not in val:
-                raise RuntimeError("component block value missing")
-            total = max(total, val[sub])
-        if best_total is None or total < best_total:
-            best_total, best_sep = total, s
+    def block_witness(blk: Tuple[int, int]) -> BagTree:
+        bag, subs = pick[blk]
+        return bag, [block_witness(sub) for sub in subs]
 
-    def block_witness(sep: int, comp: int) -> BagTree:
-        omega = pick[(sep, comp)]
-        part = sep | comp
-        if omega is None:
-            return part, []
-        return omega, [block_witness(nd, d)
-                       for d, nd in g.component_neighborhoods(part & ~omega)]
-
-    root = (best_sep, [block_witness(nc, c)
-                       for c, nc in g.component_neighborhoods(g.full & ~best_sep)])
-    return best_total, from_bag_tree(g, root, cover)
+    return val[root], from_bag_tree(g, block_witness(root), cover)
 
 
 def _tcl_connected(g: Graph) -> Tuple[int, AugmentedTreeDecomposition]:

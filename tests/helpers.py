@@ -6,12 +6,14 @@ from typing import Dict, List, Optional
 
 import pytest
 
-from tclq import cover, io
+from tclq import cover, graph, io
 from tclq.bitset import bits, mask_of
 from tclq.cli import main
 from tclq.cover import Cover, CoverOracle
-from tclq.decomposition import AugmentedTreeDecomposition, anatomy, validate, width
-from tclq.graph import Graph, maximal_cliques_within
+from tclq.decomposition import (AugmentedTreeDecomposition, anatomy, from_bag_tree, validate,
+                                width)
+from tclq.graph import Graph, enumerate_minimal_separators, expand_mask, maximal_cliques_within
+from tclq.solver_pmc import build_catalog
 
 
 def cycle(n: int) -> Graph:
@@ -291,6 +293,110 @@ def pairwise_is_pmc(g: Graph, omega: int) -> bool:
         if not g.has_edge(u, v) and not any(pair & ~h == 0 for h in hoods):
             return False
     return True
+
+
+def reference_pmcs_and_separators(g: Graph):
+    """The one-more-vertex PMC listing that tests every candidate: both
+    Omega' + a and Omega', S + a also when a lies in S, and each
+    S + (T & C) once per (T, C) through a memo, minimal separators
+    included.  It calls is_pmc through tclq.graph, so a patched binding
+    sees its calls.  The tests hold graph._pmcs_and_separators to it."""
+    n = g.n
+    if n == 0:
+        return [], []
+    order = [0]
+    seen = 1
+    for v in order:
+        for w in bits(g.adj[v] & ~seen):
+            seen |= 1 << w
+            order.append(w)
+    pos = {v: i for i, v in enumerate(order)}
+    h_adj = [mask_of(pos[w] for w in bits(g.adj[v])) for v in order]
+    pmcs = {1}
+    seps: List[int] = []
+    prev_seps = set()
+    for i in range(1, n):
+        low = (1 << (i + 1)) - 1
+        gi = Graph(i + 1, [a & low for a in h_adj[:i + 1]])
+        a = 1 << i
+        seps = enumerate_minimal_separators(gi)
+        tested: Dict[int, bool] = {}
+
+        def pmc(omega: int) -> bool:
+            if omega not in tested:
+                tested[omega] = graph.is_pmc(gi, omega)
+            return tested[omega]
+
+        found = set()
+        for om in pmcs:
+            if pmc(om | a):
+                found.add(om | a)
+            elif pmc(om):
+                found.add(om)
+        for s in seps:
+            if pmc(s | a):
+                found.add(s | a)
+            if s & a or s in prev_seps:
+                continue
+            comps = gi.components_within(gi.full & ~s)
+            for t in seps:
+                for c in comps:
+                    if pmc(s | (t & c)):
+                        found.add(s | (t & c))
+        pmcs, prev_seps = found, set(seps)
+    return (sorted(expand_mask(p, order) for p in pmcs),
+            sorted(expand_mask(s, order) for s in seps))
+
+
+def reference_tcl_via_pmc(g: Graph):
+    """The PMC block DP that solves vcc of every PMC and separator up
+    front and sweeps each part - Omega again: each full block takes the
+    first strict minimum of max(vcc(Omega), its sub-block values) over
+    its admissible PMCs in catalog order, and the root the same over the
+    inclusion-minimal separators.  The tests hold solver_pmc.tcl_via_pmc
+    to it, value and witness."""
+    catalog, cov = build_catalog(g)
+    if not catalog.separators:
+        return cov.value(g.full), from_bag_tree(g, (g.full, []), cov)
+    pmc_vcc = {p: cov.value(p) for p in catalog.pmcs}
+    sep_vcc = {s: cov.value(s) for s in catalog.separators}
+    blocks = [(s, c) for s in catalog.separators
+              for c, nc in g.component_neighborhoods(g.full & ~s) if nc == s]
+    blocks.sort(key=lambda b: ((b[0] | b[1]).bit_count(), b[0] | b[1], b[0]))
+    val: Dict = {}
+    pick: Dict = {}
+    for sep, comp in blocks:
+        part = sep | comp
+        best = best_omega = None
+        for omega in catalog.pmcs:
+            if omega == sep or sep & ~omega or omega & ~part:
+                continue
+            cost = pmc_vcc[omega]
+            for d, nd in g.component_neighborhoods(part & ~omega):
+                cost = max(cost, val[(nd, d)])
+            if best is None or cost < best:
+                best, best_omega = cost, omega
+        if best is None:
+            best = cov.value(part)
+        val[(sep, comp)] = best
+        pick[(sep, comp)] = best_omega
+    best_total = best_sep = None
+    for s in catalog.inclusion_minimal:
+        total = sep_vcc[s]
+        for c, nc in g.component_neighborhoods(g.full & ~s):
+            total = max(total, val[(nc, c)])
+        if best_total is None or total < best_total:
+            best_total, best_sep = total, s
+
+    def witness(sep: int, comp: int):
+        omega = pick[(sep, comp)]
+        part = sep | comp
+        if omega is None:
+            return part, []
+        return omega, [witness(nd, d) for d, nd in g.component_neighborhoods(part & ~omega)]
+
+    root = (best_sep, [witness(nc, c) for c, nc in g.component_neighborhoods(g.full & ~best_sep)])
+    return best_total, from_bag_tree(g, root, cov)
 
 
 def is_p4_free(g: Graph) -> bool:

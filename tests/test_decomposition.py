@@ -1,10 +1,11 @@
 """Decomposition model: validation report, width, anatomy, sanitize."""
 
+import hashlib
 import random
 
 import pytest
 
-from tclq import decomposition, generators, solver_dp, solver_pmc
+from tclq import decomposition, generators, io, solver_dp, solver_pmc
 from tclq.bitset import mask_of
 from tclq.cover import CoverOracle, lawler_table
 from tclq.decomposition import (
@@ -198,6 +199,57 @@ class TestCombineForest:
     def test_empty_raises(self):
         with pytest.raises(ValueError):
             combine_forest([])
+
+
+def mixed_graph() -> Graph:
+    """Five isolated vertices, K4 and two seeded random components, with
+    the vertices shuffled so that the components' least vertices
+    interleave."""
+    rng = random.Random("isolated-mixed")
+    parts = [Graph.from_edges(1, [])] * 5 + [complete(4)]
+    parts += [generators.gen_random(rng, 9, 0.35, connected=True),
+              generators.gen_random(rng, 11, 0.5, connected=True)]
+    n = sum(h.n for h in parts)
+    label = list(range(n))
+    rng.shuffle(label)
+    edges, base = [], 0
+    for h in parts:
+        edges += [(label[u + base], label[v + base]) for u, v in h.edges()]
+        base += h.n
+    return Graph.from_edges(n, edges)
+
+
+class TestSolvePerComponent:
+    # sha256 of io.serialize_decomposition over each solver's witness,
+    # computed when every isolated vertex went through the component sweep
+    TCD_SHA256 = {
+        "pmc": "c68a8919cbb40850675ed1d2c41882c2f049a31f740077b89fa97449e5bf0a31",
+        "dp": "14efd940f89f3c0a03f90207ddb7f66acb602c13898b9ac9e358ac5cdfb4854e",
+    }
+
+    @pytest.mark.parametrize("name", ["pmc", "dp"])
+    def test_mixed_witness_bytes_pinned(self, name):
+        g = mixed_graph()
+        k, d = {"pmc": solver_pmc, "dp": solver_dp}[name].compute_tcl(g)
+        text = io.serialize_decomposition(d, g.n).encode()
+        assert k == 3
+        assert hashlib.sha256(text).hexdigest() == self.TCD_SHA256[name]
+
+    def test_isolated_vertices_skip_the_sweep(self, monkeypatch):
+        g = Graph.from_edges(2000, [(3, 7)])
+        sweep = Graph.component_neighborhoods
+        swept = []
+
+        def recording(self, s):
+            swept.append(s)
+            return sweep(self, s)
+
+        monkeypatch.setattr(Graph, "component_neighborhoods", recording)
+        k, d = solver_pmc.compute_tcl(g)
+        assert swept == [(1 << 3) | (1 << 7)]
+        assert k == 1 and d.num_nodes == 1999
+        assert d.bags[:5] == (1 << 0, 1 << 1, 1 << 2, (1 << 3) | (1 << 7), 1 << 4)
+        assert d.parents[:3] == (-1, 0, 0) and validate(g, d).ok
 
 
 class TestSanitize:

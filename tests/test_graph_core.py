@@ -18,7 +18,8 @@ from tclq.generators import gen_random
 from tclq.oracle import OracleBudget, brute_pmcs
 
 from corpus import all_graphs, connected_graphs, graphs_up_to
-from helpers import complete, cycle, pairwise_is_pmc, path, reference_components
+from helpers import (complete, count_calls, cycle, pairwise_is_pmc, path, reference_components,
+                     reference_pmcs_and_separators)
 
 
 def brute_mis(g: Graph):
@@ -348,6 +349,36 @@ class TestEnumeratePmcs:
             for _ in range(10):
                 g = gen_random(rng, n, p, connected=True)
                 assert_listing_matches(g)
+
+
+class TestListingMatchesReference:
+    """The listing against the one that tests every candidate."""
+
+    def test_connected_to_8(self):
+        for n in range(1, 9):
+            for g in connected_graphs(n):
+                assert _pmcs_and_separators(g) == reference_pmcs_and_separators(g), g
+
+    @pytest.mark.parametrize("n", range(9, 19))
+    def test_seeded_random(self, n):
+        rng = random.Random(f"pmc-listing-reference:{n}")
+        for p in (0.1, 0.2, 0.35, 0.5, 0.7, 0.85):
+            g = gen_random(rng, n, p, connected=True)
+            assert _pmcs_and_separators(g) == reference_pmcs_and_separators(g), g
+
+    def test_fewer_is_pmc_calls_and_none_on_a_separator(self, monkeypatch):
+        g = gen_random(random.Random("pmc-listing-calls"), 14, 0.4, connected=True)
+        calls = count_calls(monkeypatch, is_pmc)
+        ours = _pmcs_and_separators(g)
+        ours_calls = list(calls)
+        calls.clear()
+        assert reference_pmcs_and_separators(g) == ours
+        assert len(ours_calls) < len(calls)
+        seps = {}
+        for gi, omega in ours_calls:
+            if gi not in seps:
+                seps[gi] = set(enumerate_minimal_separators(gi))
+            assert omega not in seps[gi], (gi, omega)
 
 
 class TestMaximalCliques:

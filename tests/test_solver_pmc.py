@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from tclq import io
+from tclq import cover, io
 from tclq.bitset import mask_of
 from tclq.cover import CapacityError
 from tclq.decomposition import validate, width
@@ -16,7 +16,8 @@ from tclq.solver_dp import compute_tcl as dp_tcl
 from tclq.solver_pmc import block_index, build_catalog, compute_tcl, tcl_via_pmc
 
 from corpus import connected_graphs
-from helpers import assert_good_witness, complete, cycle, forbid_subset_tables, path, solve_cli
+from helpers import (assert_good_witness, complete, count_calls, cycle, forbid_subset_tables, path,
+                     reference_tcl_via_pmc, solve_cli)
 
 
 class TestBuildCatalog:
@@ -26,11 +27,11 @@ class TestBuildCatalog:
             mask_of(t) for t in [(0, 1, 2), (1, 2, 3), (0, 2, 3), (0, 1, 3)]
         )
         assert catalog.pmcs == triples
-        assert all(catalog.pmc_vcc[p] == 2 for p in catalog.pmcs)
+        assert all(catalog.cover.value(p) == 2 for p in catalog.pmcs)
         seps = sorted([mask_of([0, 2]), mask_of([1, 3])])
         assert catalog.separators == seps
         assert catalog.inclusion_minimal == seps
-        assert all(catalog.sep_vcc[s] == 2 for s in seps)
+        assert all(catalog.cover.value(s) == 2 for s in seps)
 
     def test_k3(self):
         catalog, _ = build_catalog(complete(3))
@@ -73,10 +74,12 @@ def assert_index_matches_scan(g: Graph) -> None:
     for s in catalog.separators:
         blocks.update((s, c) for c, nc in g.component_neighborhoods(g.full & ~s) if nc == s)
     assert set(index) == blocks
-    for (sep, comp), omegas in index.items():
+    for (sep, comp), entries in index.items():
         part = sep | comp
-        assert omegas == [om for om in catalog.pmcs
-                          if om != sep and sep & ~om == 0 and om & ~part == 0]
+        assert [om for om, _ in entries] == [
+            om for om in catalog.pmcs if om != sep and sep & ~om == 0 and om & ~part == 0]
+        for omega, subs in entries:
+            assert subs == [(nd, d) for d, nd in g.component_neighborhoods(part & ~omega)]
 
 
 class TestBlockIndex:
@@ -132,6 +135,25 @@ class TestTclViaPmc:
         for g in connected_to_6:
             k, d = self.run(g)
             assert width(d) == k
+
+
+class TestMatchesEagerDp:
+    """tcl_via_pmc against the DP that solves every vcc up front."""
+
+    @pytest.mark.parametrize("n", range(8, 17))
+    def test_seeded_random(self, n):
+        rng = random.Random(f"pmc-eager-dp:{n}")
+        for p in (0.15, 0.3, 0.5, 0.7, 0.8, 0.9):
+            g = gen_random(rng, n, p, connected=True)
+            assert tcl_via_pmc(g, build_catalog(g)[0]) == reference_tcl_via_pmc(g), g
+
+    def test_dense_solves_fewer_covers_than_the_catalog_holds(self, monkeypatch):
+        g = gen_random(random.Random("pmc-lazy-covers"), 16, 0.7, connected=True)
+        want = reference_tcl_via_pmc(g)
+        catalog, _ = build_catalog(g)
+        calls = count_calls(monkeypatch, cover.vcc)
+        assert tcl_via_pmc(g, catalog) == want
+        assert len(calls) < len(catalog.pmcs) + len(catalog.separators)
 
 
 class TestComputeTcl:
