@@ -13,7 +13,11 @@ independent-set counts once, on two facts: every vertex below the pivot
 (the lowest vertex with a non-neighbour above it) is adjacent to all
 others, so a trial is decided on the graph without them; and a trial
 changes edges only at the pivot, so the table of the vertices above it
-is kept and only shrinks.  These operations refuse a graph above
+is kept and only shrinks.  A proper coloring with the counted number
+of colors, kept as a witness, decides each trial whose pair it colors
+apart without a count: it colors the trial graph too, so the count
+would be positive.  Every other trial, each merge among them, is still
+counted, so no decision changes.  These operations refuse a graph above
 TABLE_MAX_N vertices before allocating anything.  The CoverOracle is the
 sparse counterpart for the solvers: it solves only the sets a caller
 asks for, one at a time, by backtracking, and memoizes them.  Both cover
@@ -328,6 +332,57 @@ def _merge(adj: List[int], i: int, j: int) -> List[int]:
     return merged
 
 
+def _odd_half_sum(base: List[int], outside: int, m: int, c: int) -> int:
+    """A trial's signed sum at c over the sets that hold the pivot: for
+    each subset R of the m vertices above the pivot, R plus the pivot
+    has base[R] + base[R & outside] independent sets, where outside
+    drops the pivot's neighbours.  The sets without the pivot are base's."""
+    odd = [x + base[r & outside] for r, x in enumerate(base)]
+    return _ie_partition_sum(_signed_histogram(odd, m), c)
+
+
+def _witness_coloring(adj: List[int], k: int, pivot: int) -> Optional[List[int]]:
+    """The first proper coloring of the graph adj with at most k colors
+    that the backtracker finds, as a color per vertex, or None if there
+    is none.
+
+    Vertices go in index order, each into the first color none of its
+    neighbours has, opening one new color at a time.  A vertex above the
+    pivot tries the pivot's color last, so the pivot's class comes out
+    small, as the construction's own classes do.
+    """
+    m = len(adj)
+    classes = [0] * k
+    color = [0] * m
+
+    def bt(v: int, used: int) -> bool:
+        if v == m:
+            return True
+        row = adj[v]
+        order = range(used + 1 if used < k else k)
+        if v > pivot:
+            order = [c for c in order if c != color[pivot]] + [color[pivot]]
+        for c in order:
+            if classes[c] & row:
+                continue
+            classes[c] |= 1 << v
+            color[v] = c
+            if bt(v + 1, max(used, c + 1)):
+                return True
+            classes[c] &= ~(1 << v)
+        return False
+
+    return color if bt(0, 0) else None
+
+
+def _witness(adj: List[int], k: int, pivot: int) -> List[int]:
+    """_witness_coloring, which must find one: the count said chi <= k."""
+    color = _witness_coloring(adj, k, pivot)
+    if color is None:
+        raise RuntimeError(f"no {k}-coloring of a graph the count found {k}-colorable")
+    return color
+
+
 def ie_chromatic_with_construction(g: Graph) -> Tuple[int, List[int]]:
     """chi(G) by counting, plus a proper coloring with exactly chi colors.
 
@@ -337,13 +392,21 @@ def ie_chromatic_with_construction(g: Graph) -> Tuple[int, List[int]]:
     optimal coloring agrees on the pair and the two vertices merge.
     When h becomes complete, its vertices are the color classes.
 
-    Each trial is decided by an inclusion-exclusion count, but on the
-    independent-set counts of one table built once from G, because of
-    two facts.  The pivot i is the lowest vertex with a non-neighbour
-    above it, so every vertex below i is adjacent to all others, and
-    chi(h) = i + chi(h - {0..i-1}): the trial is decided on h minus
-    those vertices at k - i.  A trial changes only edges at the pivot
-    (an added edge ij, or a merge that drops j and gives i its
+    A witness, a proper k-coloring of h, decides the trials it can: if
+    it gives i and j different colors, it is a k-coloring of h + ij as
+    well, so chi stays k and the edge stays without a count.  Only the
+    other trials are counted, so every merge is still decided by
+    counting, and every decision is the one a count would make.  A merge
+    keeps the witness (i and j share a color), minus j's entry; a
+    counted trial that keeps the edge searches a new witness.
+
+    Each counted trial is decided by an inclusion-exclusion count, but
+    on the independent-set counts of one table built once from G,
+    because of two facts.  The pivot i is the lowest vertex with a
+    non-neighbour above it, so every vertex below i is adjacent to all
+    others, and chi(h) = i + chi(h - {0..i-1}): the trial is decided on
+    h minus those vertices at k - i.  A trial changes only edges at the
+    pivot (an added edge ij, or a merge that drops j and gives i its
     neighbours), so the table `base` of h - {0..i} is never recomputed:
     a merge keeps its entries without j's bit, and a pivot step keeps
     base[::2].  The table of h - {0..i-1} has base as its entries
@@ -359,6 +422,7 @@ def ie_chromatic_with_construction(g: Graph) -> Tuple[int, List[int]]:
     hist = _signed_histogram(table, n)
     k = next((c for c in range(1, n) if _ie_partition_sum(hist, c) > 0), n)
     adj = list(g.adj)
+    color = _witness(adj, k, 0)
     groups: List[int] = [1 << v for v in range(n)]
     i = 0  # the pivot; every vertex below it is adjacent to all others
     base = table[::2]  # independent-set counts of h - {0..i}
@@ -374,27 +438,31 @@ def ie_chromatic_with_construction(g: Graph) -> Tuple[int, List[int]]:
             continue
         b = lowest_bit(rest)
         j = shift + b
-        if even is None:
-            even = _ie_partition_sum(_signed_histogram(base, m), k - i)
-        outside = ~(hood | 1 << b)
-        odd = [x + base[r & outside] for r, x in enumerate(base)]
-        # odd minus even is the count at k - i of the trial graph minus
-        # {0..i-1}; chi can only stay or grow by one under an edge addition
-        if _ie_partition_sum(_signed_histogram(odd, m), k - i) > even:
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
-        else:
-            groups[i] |= groups.pop(j)
-            adj = _merge(adj, i, j)
-            base = _drop_bit(base, b)
-            even = None
+        counted = color[i] == color[j]
+        if counted:
+            if even is None:
+                even = _ie_partition_sum(_signed_histogram(base, m), k - i)
+            # the odd half's sum minus even is the count at k - i of the trial
+            # graph minus {0..i-1}; chi can only stay or grow by one under an
+            # edge addition
+            if _odd_half_sum(base, ~(hood | 1 << b), m, k - i) <= even:
+                groups[i] |= groups.pop(j)
+                adj = _merge(adj, i, j)
+                base = _drop_bit(base, b)
+                even = None
+                del color[j]
+                continue
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+        if counted:
+            color = _witness(adj, k, i)
 
     if len(adj) != k:
         raise RuntimeError("complete merge graph must have chi vertices")
     coloring = [0] * n
-    for color, grp in enumerate(groups):
+    for c, grp in enumerate(groups):
         for v in bits(grp):
-            coloring[v] = color
+            coloring[v] = c
     return k, coloring
 
 

@@ -166,14 +166,27 @@ def parse_decomposition(text: str, check_n: Optional[Callable[[int], None]] = No
     return AugmentedTreeDecomposition(tuple(parents), bag_tuple, cover_tuples), n
 
 
+def _vertex_fields(mask: int) -> List[str]:
+    """The 1-indexed vertices of mask, in increasing order, as strings.
+
+    A one-vertex mask is read from its bit length: stepping `bits` over
+    it would build several ints of the mask's full width, up to the
+    whole vertex count for the bag of an isolated vertex.
+    """
+    top = mask.bit_length()
+    if mask and mask == 1 << (top - 1):
+        return [str(top)]
+    return [str(v + 1) for v in bits(mask)]
+
+
 def serialize_decomposition(d: AugmentedTreeDecomposition, n: int) -> str:
     width = max((len(cs) for cs in d.covers), default=0)
     lines = [f"tcd {width} {d.num_nodes} {n}"]
     for t, bag in enumerate(d.bags):
-        lines.append(" ".join(["b", str(t + 1)] + [str(v + 1) for v in bits(bag)]))
+        lines.append(" ".join(["b", str(t + 1)] + _vertex_fields(bag)))
     for t, cs in enumerate(d.covers):
         for cl in cs:
-            lines.append(" ".join(["c", str(t + 1)] + [str(v + 1) for v in bits(cl)]))
+            lines.append(" ".join(["c", str(t + 1)] + _vertex_fields(cl)))
     for t, p in enumerate(d.parents):
         if p >= 0:
             lines.append(f"t {p + 1} {t + 1}")

@@ -9,7 +9,7 @@ import tracemalloc
 import pytest
 
 from tclq import cli, io, solver_dp, solver_pmc
-from tclq.bitset import mask_of
+from tclq.bitset import bits, mask_of
 from tclq.cli import main
 from tclq.cograph import cotree_to_graph, parse_and_binarize
 from tclq.decomposition import validate, width
@@ -36,7 +36,8 @@ from tclq.permutation import inversion_graph
 from tclq.solver_dp import compute_tcl as dp_tcl
 
 from corpus import connected_graphs
-from helpers import complete, cycle, forbid, forbid_subset_tables, is_p4_free
+from helpers import (complete, count_calls, cycle, forbid, forbid_subset_tables,
+                     is_p4_free)
 
 C4_COL = "c a four-cycle\np edge 4 4\ne 1 2\ne 2 3\ne 3 4\ne 4 1\n"
 
@@ -154,6 +155,26 @@ class TestDecompositionFormat:
         # the refusal comes before the bag line is read
         with pytest.raises(OverflowError):
             parse_decomposition("tcd 1 1 2\nb 1 9\n", check_n=refuse)
+
+    def test_one_vertex_masks_print_as_every_mask_did(self, monkeypatch):
+        # a few components among some 4,000 isolated vertices
+        n = 4003
+        edges = [(10, 11), (11, 12), (12, 13), (13, 10), (12, 10), (2000, 2001),
+                 (2001, 2002), (n - 2, n - 1)]
+        g = Graph.from_edges(n, edges)
+        d = solver_pmc.compute_tcl(g)[1]
+        masks = list(d.bags) + [cl for cs in d.covers for cl in cs]
+        assert sum(m.bit_count() == 1 for m in masks) > 2 * (n - 10)
+        lines = [f"tcd {width(d)} {d.num_nodes} {n}"]
+        for kind, groups in (("b", [[bag] for bag in d.bags]), ("c", d.covers)):
+            for t, group in enumerate(groups):
+                lines += [" ".join([kind, str(t + 1)] + [str(v + 1) for v in bits(m)])
+                          for m in group]
+        lines += [f"t {p + 1} {t + 1}" for t, p in enumerate(d.parents) if p >= 0]
+        calls = count_calls(monkeypatch, io.bits)
+        assert serialize_decomposition(d, n) == "\n".join(lines) + "\n"
+        # `bits` steps only over the masks of two or more vertices
+        assert len(calls) == sum(m.bit_count() != 1 for m in masks)
 
     def test_line_numbers_reported(self):
         bad = "tcd 1 1 1\nb 1 1\nc 1 1\nz\n"
@@ -488,14 +509,30 @@ class TestCliCover:
         10: "fccd1386530a629ae2626f772cfe7efbf8701751a3e1f741197ee1e01d3e34e8",
     }
 
+    # the same at n = 16 on a sparse and a dense shape, keyed by (p, seed)
+    IE_STDOUT_SHA256_N16 = {
+        (0.2, 1): "7519ff66f9a2c5bbb9dd875b3487d34c256791df221c5301db0617374c0144b1",
+        (0.2, 2): "e3f9f3eebf6128bc1caa3798d76ebea901bba7bc97e91e9396f0ad678dce144f",
+        (0.8, 1): "2f2b1c59ccd7e1a24cb2138e5639b578abe4db526360ae8017a1a3bbb8580ed4",
+        (0.8, 2): "93c5e8baaa04d08643a272866f85ea3e39d2d2e163bc3e939330a181aaec33c6",
+    }
+
+    def ie_stdout_sha256(self, seed, n, p, tmp_path, capsys):
+        col = str(tmp_path / "g.col")
+        assert main(["gen", "--family", "random", "--seed", str(seed), "--n", str(n),
+                     "--p", str(p), "--out", col]) == 0
+        assert main(["cover", "--input", col, "--method", "ie"]) == 0
+        return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
     @pytest.mark.parametrize("seed", sorted(IE_STDOUT_SHA256))
     def test_ie_stdout_pinned(self, seed, tmp_path, capsys):
-        col = str(tmp_path / "g.col")
-        assert main(["gen", "--family", "random", "--seed", str(seed), "--n", "13",
-                     "--p", "0.5", "--out", col]) == 0
-        assert main(["cover", "--input", col, "--method", "ie"]) == 0
-        out = capsys.readouterr().out
-        assert hashlib.sha256(out.encode()).hexdigest() == self.IE_STDOUT_SHA256[seed], out
+        assert self.ie_stdout_sha256(seed, 13, 0.5, tmp_path, capsys) == \
+            self.IE_STDOUT_SHA256[seed]
+
+    @pytest.mark.parametrize("p, seed", sorted(IE_STDOUT_SHA256_N16))
+    def test_ie_stdout_pinned_n16(self, p, seed, tmp_path, capsys):
+        assert self.ie_stdout_sha256(seed, 16, p, tmp_path, capsys) == \
+            self.IE_STDOUT_SHA256_N16[p, seed]
 
     @pytest.mark.parametrize("method", ["lawler", "ie"])
     def test_zero_vertices(self, method, tmp_path, capsys):

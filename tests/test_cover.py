@@ -432,6 +432,71 @@ class TestPivotConstruction:
             assert tables == [(g,)]
 
 
+
+def count_trials(g: Graph, coloring) -> int:
+    """The add-or-merge trials of the construction that ends in coloring:
+    each first non-adjacent pair of the working graph merges when its
+    vertices end in one color class, and takes the edge otherwise."""
+    adj = list(g.adj)
+    color = list(coloring)
+    trials = 0
+    while True:
+        pair = next(((i, j) for i, j in itertools.combinations(range(len(adj)), 2)
+                     if not adj[i] >> j & 1), None)
+        if pair is None:
+            return trials
+        trials += 1
+        i, j = pair
+        if color[i] == color[j]:
+            adj = cover._merge(adj, i, j)
+            del color[j]
+        else:
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+
+
+class TestWitness:
+    """The witness coloring, and the trials it spares the construction."""
+
+    def check(self, g, k, color):
+        assert len(color) == g.n and all(0 <= c < k for c in color)
+        assert all(color[u] != color[v] for u, v in g.edges())
+
+    def test_proper_at_chi_and_none_below(self, graphs_to_6):
+        for g in graphs_to_6:
+            for h in (g, g.complement()):
+                chi = brute_chromatic(h)
+                for pivot in range(max(h.n, 1)):
+                    self.check(h, chi, cover._witness_coloring(list(h.adj), chi, pivot))
+                    if chi:
+                        assert cover._witness_coloring(list(h.adj), chi - 1, pivot) is None
+
+    def test_pivot_color_last(self):
+        # every vertex above the pivot avoids its color while another fits
+        assert cover._witness_coloring(list(empty(4).adj), 2, 0) == [0, 1, 1, 1]
+        assert cover._witness_coloring(list(empty(4).adj), 2, 1) == [0, 0, 1, 1]
+        assert cover._witness_coloring(list(empty(4).adj), 1, 0) == [0, 0, 0, 0]
+
+    def test_missing_witness_is_an_error(self, monkeypatch):
+        monkeypatch.setattr(cover, "_witness_coloring", lambda adj, k, pivot: None)
+        with pytest.raises(RuntimeError, match="coloring"):
+            ie_chromatic_with_construction(cycle(5))
+
+    # the construction on the complement of gen_random(random.Random(9),
+    # 13, 0.5) makes 24 trials; 8 merge and 16 keep the edge, and the
+    # witness decides 13 of those
+    COUNTED = 11
+
+    def test_counted_trials_pinned(self, monkeypatch):
+        g = gen_random(random.Random(9), 13, 0.5).complement()
+        counted = count_calls(monkeypatch, cover._odd_half_sum)
+        k, coloring = ie_chromatic_with_construction(g)
+        assert len(counted) == self.COUNTED
+        assert (k, count_trials(g, coloring)) == (5, 24)
+        # every merge is counted
+        assert g.n - k <= self.COUNTED < count_trials(g, coloring)
+
+
 class TestVcc:
     def test_c4(self):
         count, parts = vcc(cycle(4), 0b1111)
