@@ -23,6 +23,18 @@ class UsageError(ValueError):
     pass
 
 
+# Largest declared n that solve --input and verify read.  Each isolated
+# vertex's bag is a mask as wide as its index, so an edgeless graph takes
+# memory quadratic in n; 64,000 vertices solve in about a second.
+INPUT_MAX_N = 65536
+
+
+def check_input_size(n: int) -> None:
+    """Refuse a declared n above INPUT_MAX_N before the graph is built."""
+    if n > INPUT_MAX_N:
+        raise CapacityError(f"n={n} exceeds the input limit of {INPUT_MAX_N} vertices")
+
+
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
@@ -57,7 +69,7 @@ def _solve(args) -> int:
         k, witness = permutation.solve(pi)
         return _report(args, k, witness, len(pi))
 
-    g = io.parse_graph(_read(args.input))
+    g = io.parse_graph(_read(args.input), check_n=check_input_size)
     algo = args.algo if args.algo != "auto" else "pmc"
     if algo == "oracle":
         if args.out is not None:
@@ -105,7 +117,7 @@ class _OtherVertexCount(Exception):
 
 
 def _verify(args) -> int:
-    g = io.parse_graph(_read(args.graph))
+    g = io.parse_graph(_read(args.graph), check_n=check_input_size)
 
     def check_n(n: int) -> None:
         if n != g.n:

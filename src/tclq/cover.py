@@ -25,7 +25,11 @@ sources also answer at_most(s, k), vcc(G[s]) <= k; the oracle does so
 from a greedy independent-set lower bound and at most one search at k.
 A search at a fixed k reads nothing but the graph, s and k, so the
 exact solve may start at any lower bound and still returns the
-partition that counting up from 1 finds.
+partition that counting up from 1 finds.  At k <= 2 the search is no
+backtracking: s splits into two cliques exactly when the complement of
+G[s] is bipartite, and a breadth-first 2-coloring of that complement,
+each component's lowest vertex in the first class, gives the classes
+the backtracker would, in its order.
 """
 
 import math
@@ -34,7 +38,7 @@ from itertools import compress
 from operator import add
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
-from .bitset import bit_list, bits, lowest_bit
+from .bitset import bit_list, bits, lowest_bit, mask_of
 from .graph import Graph, enumerate_maximal_independent_sets, maximal_cliques_within
 
 CAP = 64
@@ -199,7 +203,8 @@ class CoverOracle:
         return self._solve(s)[0]
 
     def at_most(self, s: int, k: int) -> bool:
-        """vcc(s) <= k, with at most one backtracking search, at k."""
+        """vcc(s) <= k, with at most one search, at k; for k <= 2 it is
+        the co-bipartite test on s, with no list of its vertices."""
         hit = self.memo.get(s)
         if hit is not None:
             return hit[0] <= k
@@ -211,7 +216,10 @@ class CoverOracle:
             return False
         if k >= hi:
             return True
-        classes = _partition_within(self.g.adj, bit_list(s), k)
+        if k <= 2:
+            classes = _two_cliques(self.g.adj, s, k)
+        else:
+            classes = _partition_within(self.g.adj, bit_list(s), k)
         if classes is None:
             known[0] = k + 1
             return False
@@ -466,6 +474,41 @@ def ie_chromatic_with_construction(g: Graph) -> Tuple[int, List[int]]:
     return k, coloring
 
 
+def _two_cliques(adj: List[int], s: int, k: int) -> Optional[List[int]]:
+    """_partition_within over the vertices of s in increasing order, for
+    k <= 2, with no search: s splits into two cliques exactly when the
+    complement of G[s] is bipartite.
+
+    A breadth-first sweep of each complement component, from its lowest
+    vertex, puts the even layers in class 0 and the odd ones in class 1.
+    That is the backtracker's first solution: the lowest vertex of a
+    component has no non-neighbour before it, so class 0 takes it, and
+    the rest of the component follows by parity.  A complement edge
+    joins two vertices of one layer or of consecutive layers, so a class
+    fails to be a clique exactly when some layer holds a non-edge.
+    """
+    classes = [0, 0]
+    rest = s
+    while rest:
+        frontier = rest & -rest
+        side = 0
+        while frontier:
+            rest &= ~frontier
+            classes[side] |= frontier
+            reached = 0
+            todo = frontier
+            while todo:
+                low = todo & -todo
+                todo ^= low
+                non = ~adj[low.bit_length() - 1]
+                if frontier & non != low:
+                    return None
+                reached |= rest & non
+            frontier, side = reached, side ^ 1
+    classes = [c for c in classes if c]
+    return classes if len(classes) <= k else None
+
+
 def _partition_within(adj: List[int], verts: List[int], k: int) -> Optional[List[int]]:
     """The first partition of verts into at most k cliques that the
     backtracker finds, or None if there is none.
@@ -473,8 +516,11 @@ def _partition_within(adj: List[int], verts: List[int], k: int) -> Optional[List
     Vertices go in the order of verts, each into the first class that
     takes it, opening one new class at a time.  The search reads nothing
     but (adj, verts, k), so a search at a fixed k returns the same
-    partition whatever searches ran before it.
+    partition whatever searches ran before it.  verts is in increasing
+    order, so k <= 2 is left to _two_cliques.
     """
+    if k <= 2:
+        return _two_cliques(adj, mask_of(verts), k)
     m = len(verts)
     classes = [0] * k
 

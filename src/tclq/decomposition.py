@@ -115,9 +115,13 @@ def validate(g: Graph, d: AugmentedTreeDecomposition) -> ValidityReport:
         missing = bit_list(g.full & ~union_bags)
         report.violations.append(f"vertex coverage: vertices {missing} in no bag")
 
+    # reach[u]: the vertices that share a bag with u
+    reach = [0] * g.n
+    for b in d.bags:
+        for u in bits(b):
+            reach[u] |= b
     for (u, v) in g.edges():
-        pair = (1 << u) | (1 << v)
-        if not any(pair & ~b == 0 for b in d.bags):
+        if not reach[u] >> v & 1:
             report.violations.append(f"edge coverage: edge ({u},{v}) in no bag")
 
     kids = d.children()

@@ -30,6 +30,21 @@ at k, or a dense CoverTable.  The oracle runs an exact vcc only for the
 bags of the witness, and that search at k = vcc(bag) alone returns the
 partition counting up from 1 would, so the witness is unchanged.
 Nothing on the solve path is indexed by all 2^n subsets.
+
+compute_tcl tries k = 1, 2, ... and skips a round that a core bound
+rules out (the degeneracy-style lower bounds for treewidth of
+Bodlaender and Koster, with vcc in place of the bag size).  Before the
+round at k >= 2, vertices are peeled off while some v has
+vcc(N[v] & alive) <= k; if a core C survives, tcl(G) > k.  Proof: a
+decomposition of G of width <= k, cut down to G[C], still has width
+<= k, since vcc only shrinks on subsets; and every decomposition of a
+nonempty graph has a vertex whose closed neighbourhood lies in one bag
+(once no bag lies in a neighbour's, a leaf bag holds a vertex its
+parent's lacks, and all of that vertex's neighbours), so some v in C
+would have peeled off.  Round 1 always runs: its search costs about
+what its peel would.  A skipped round would have failed, so the first
+round that succeeds is the same, and its witness reads its partitions
+from vcc at a fixed k, which reads only the graph, the set and k.
 """
 
 from dataclasses import dataclass
@@ -135,15 +150,39 @@ def decide_tcl_at_most_k(
     return False, None
 
 
+def _core(g: Graph, alive: int, k: int, cover: Cover) -> int:
+    """What is left of alive after peeling, one at a time, each vertex v
+    with vcc(N[v] & alive) <= k; a removal rechecks v's live neighbours.
+
+    The result is the largest subset of alive in which no vertex can be
+    peeled, whatever the order, and it is nonempty only if tcl(G) > k.
+    """
+    adj, at_most = g.adj, cover.at_most
+    pending = alive
+    while pending:
+        low = pending & -pending
+        pending ^= low
+        v = low.bit_length() - 1
+        if at_most((adj[v] | low) & alive, k):
+            alive ^= low
+            pending |= adj[v] & alive
+    return alive
+
+
 def _tcl_connected(g: Graph) -> Tuple[int, AugmentedTreeDecomposition]:
     _check_cap(g)
     cover = CoverOracle(g)
     separators = _root_order(enumerate_minimal_separators(g))
-    k = 1
+    k, core = 1, g.full
     while True:
-        ok, atd = decide_tcl_at_most_k(g, k, cover, separators=separators)
-        if ok:
-            return k, atd
+        # the core at k + 1 lies inside the core at k, so each peel
+        # starts from the last
+        if k > 1:
+            core = _core(g, core, k, cover)
+        if k == 1 or not core:
+            ok, atd = decide_tcl_at_most_k(g, k, cover, separators=separators)
+            if ok:
+                return k, atd
         k += 1
 
 

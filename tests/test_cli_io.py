@@ -13,7 +13,7 @@ from tclq.bitset import bits, mask_of
 from tclq.cli import main
 from tclq.cograph import cotree_to_graph, parse_and_binarize
 from tclq.decomposition import validate, width
-from tclq.cover import vcc
+from tclq.cover import CapacityError, vcc
 from tclq.generators import (
     CONNECTED_DRAWS,
     gen_corpora,
@@ -615,6 +615,28 @@ class TestCliVerify:
         assert main(["verify", str(col), str(tcd)]) == 1
         assert capsys.readouterr().out == (
             "invalid: decomposition is over 100000000000 vertices, graph has 2\n")
+
+    def test_declared_n_above_the_input_limit_refused(self, tmp_path, capsys):
+        # an edgeless graph of 10^6 vertices would take tens of GB of masks
+        big = tmp_path / "edgeless1e6.col"
+        big.write_text("p edge 1000000 0\n")
+        for argv in (["solve", "--input", str(big)], ["verify", str(big), str(big)]):
+            tracemalloc.start()
+            try:
+                code = main(argv)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            captured = capsys.readouterr()
+            assert code == 3 and captured.out == ""
+            assert captured.err == "error: n=1000000 exceeds the input limit of 65536 vertices\n"
+            assert peak < 1 << 20
+
+    def test_input_limit_boundary(self):
+        assert io.parse_graph(f"p edge {cli.INPUT_MAX_N} 0\n",
+                              check_n=cli.check_input_size).n == 65536
+        with pytest.raises(CapacityError):
+            io.parse_graph("p edge 65537 0\n", check_n=cli.check_input_size)
 
     def test_malformed_header(self, c4_file, tmp_path, capsys):
         bad = tmp_path / "bad.tcd"

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from tclq import cover
-from tclq.bitset import bits, mask_of
+from tclq.bitset import bit_list, bits, mask_of
 from tclq.cover import (
     TABLE_MAX_N,
     CapacityError,
@@ -529,6 +529,53 @@ class TestVcc:
             t = lawler_table(g)
             s = rng.randrange(1 << g.n) if g.n else 0
             assert vcc(g, s)[0] == t.values[s]
+
+
+def index_order_partition(adj, verts, k):
+    """The index-order backtracker: each vertex of verts, in order, into
+    the first class that takes it, opening one new class at a time."""
+    classes = [0] * k
+
+    def bt(i, used):
+        if i == len(verts):
+            return True
+        v = verts[i]
+        for c in range(used + 1 if used < k else k):
+            if classes[c] & ~adj[v]:
+                continue
+            classes[c] |= 1 << v
+            if bt(i + 1, max(used, c + 1)):
+                return True
+            classes[c] &= ~(1 << v)
+        return False
+
+    return [c for c in classes if c] if bt(0, 0) else None
+
+
+class TestTwoCliques:
+    """For k <= 2 the co-bipartite test stands in for the backtracker and
+    must give its answer and its classes, in its order."""
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_matches_backtracker(self, graphs_to_6, k):
+        for g in graphs_to_6:
+            for s in range(1 << g.n):
+                want = index_order_partition(g.adj, bit_list(s), k)
+                for got in (cover._two_cliques(g.adj, s, k),
+                            cover._partition_within(g.adj, bit_list(s), k)):
+                    assert (got is None) == (want is None), (g, s, k)
+                    assert got == want, (g, s, k)
+                assert CoverOracle(g).at_most(s, k) == (want is not None)
+
+    def test_oracle_builds_no_vertex_list(self, monkeypatch):
+        # the complements of C8 and C7 have vcc 2 and 3 and a greedy lower
+        # bound of 2, so k = 2 takes a search; k = 0 and 1 fall below it
+        graphs = [cycle(8).complement(), cycle(7).complement()]
+        forbid(monkeypatch, cover.bit_list, "at_most listed the vertices at k <= 2")
+        searched = count_calls(monkeypatch, cover._two_cliques)
+        answers = [[CoverOracle(g).at_most(g.full, k) for k in (0, 1, 2)] for g in graphs]
+        assert answers == [[False, False, True], [False, False, False]]
+        assert len(searched) == 2
 
 
 class TestAtMost:

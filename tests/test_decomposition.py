@@ -6,7 +6,7 @@ import random
 import pytest
 
 from tclq import decomposition, generators, io, solver_dp, solver_pmc
-from tclq.bitset import mask_of
+from tclq.bitset import bits, mask_of
 from tclq.cover import CoverOracle, lawler_table
 from tclq.decomposition import (
     AugmentedTreeDecomposition,
@@ -149,6 +149,37 @@ class TestValidate:
         d = decomp([-1], [mask_of([0, 1, 5])], [[mask_of([0, 1, 5])]])
         report = validate(complete(3), d)
         assert any("out-of-range vertices" in v for v in report.violations)
+
+
+def scan_edge_reports(g, d):
+    """The edge-coverage reports of validate, by scanning every bag for
+    every edge."""
+    return [f"edge coverage: edge ({u},{v}) in no bag" for u, v in g.edges()
+            if not any(((1 << u) | (1 << v)) & ~b == 0 for b in d.bags)]
+
+
+class TestValidateCorrupted:
+    def test_edge_reports_match_a_scan_of_every_bag(self):
+        rng = random.Random(151)
+        edge_reports = 0
+        for _ in range(120):
+            g = generators.gen_random(rng, rng.randint(4, 11), rng.choice((0.3, 0.5, 0.7)))
+            d = compute_tcl(g)[1]
+            bags, parents = list(d.bags), list(d.parents)
+            for _ in range(rng.randint(1, 3)):
+                t = rng.randrange(len(bags))
+                if rng.random() < 0.7 and bags[t]:
+                    bags[t] &= ~(1 << rng.choice(list(bits(bags[t]))))
+                elif t:
+                    parents[t] = rng.randrange(t)
+            bad = AugmentedTreeDecomposition(tuple(parents), tuple(bags), d.covers)
+            report = validate(g, bad).violations
+            head = [v for v in report if v.startswith("vertex coverage")]
+            want = scan_edge_reports(g, bad)
+            edge_reports += len(want)
+            assert report[:len(head) + len(want)] == head + want
+            assert not any(v.startswith("edge coverage") for v in report[len(head) + len(want):])
+        assert edge_reports > 0
 
 
 class TestWidth:

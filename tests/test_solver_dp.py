@@ -6,6 +6,7 @@ import random
 import pytest
 
 from tclq import cover, io, solver_dp
+from tclq.bitset import bits
 from tclq.cover import CapacityError, CoverOracle, lawler_table
 from tclq.decomposition import validate, width
 from tclq.generators import gen_random
@@ -18,6 +19,7 @@ from corpus import connected_graphs
 from helpers import (
     assert_good_witness,
     complete,
+    count_calls,
     cycle,
     forbid_subset_tables,
     path,
@@ -149,6 +151,42 @@ class TestComputeTcl:
     def test_capacity(self):
         with pytest.raises(CapacityError):
             compute_tcl(path(65))
+
+
+class TestCoreBound:
+    """A vertex v with vcc(N[v]) <= k peels off; a nonempty core at k
+    means tcl > k, and the round at k is skipped."""
+
+    def test_never_above_tcl(self, connected_to_6):
+        reached = 0
+        for g in connected_to_6 + connected_graphs(7):
+            k = pmc_tcl(g)[0]
+            oracle = CoverOracle(g)
+            assert solver_dp._core(g, g.full, k, oracle) == 0, g
+            if k > 1 and solver_dp._core(g, g.full, k - 1, oracle):
+                reached += 1
+        assert reached > 0
+
+    def test_skips_a_round_it_rules_out(self, monkeypatch):
+        g = gen_random(random.Random(610), 7, 0.5, connected=True)
+        assert solver_dp._core(g, g.full, 2, CoverOracle(g)) != 0
+        rounds = count_calls(monkeypatch, decide_tcl_at_most_k)
+        k, d = compute_tcl(g)
+        assert k == 3 == pmc_tcl(g)[0]
+        assert_good_witness(g, d, expected_width=3)
+        assert [args[1] for args in rounds] == [1, 3]
+
+    def test_largest_set_that_peels_nothing(self, connected_to_6):
+        # whatever the peel order, the core is the union of the sets in
+        # which no vertex peels off
+        for g in connected_to_6:
+            oracle = CoverOracle(g)
+            for k in (1, 2, 3):
+                stuck = 0
+                for x in range(1 << g.n):
+                    if not any(oracle.at_most((g.adj[v] | 1 << v) & x, k) for v in bits(x)):
+                        stuck |= x
+                assert solver_dp._core(g, g.full, k, oracle) == stuck, (g, k)
 
 
 class TestThresholdQueries:
