@@ -211,10 +211,7 @@ def main(argv=None) -> int:
     except (MemoryError, OverflowError) as exc:  # e.g. a huge declared n
         print(f"error: input too large to hold in memory ({type(exc).__name__})", file=sys.stderr)
         return 3
-    except (UsageError, io.ParseError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (UsageError, io.ParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -23,22 +23,23 @@ sparse counterpart for the solvers: it solves only the sets a caller
 asks for, one at a time, by backtracking, and memoizes them.  Both cover
 sources also answer at_most(s, k), vcc(G[s]) <= k; the oracle does so
 from a greedy independent-set lower bound and at most one search at k.
-A search at a fixed k reads nothing but the graph, s and k, so the
-exact solve may start at any lower bound and still returns the
-partition that counting up from 1 finds.  At k <= 2 the search is no
-backtracking: s splits into two cliques exactly when the complement of
-G[s] is bipartite, and a breadth-first 2-coloring of that complement,
-each component's lowest vertex in the first class, gives the classes
-the backtracker would, in its order.
+Every search, a threshold query's and each step of an exact vcc, goes
+through one entry, _partition_within(adj, s, k).  It reads nothing but
+the graph, s and k, so the exact solve may start at any lower bound and
+still returns the partition that counting up from 1 finds.  At k <= 2
+the search is no backtracking: s splits into two cliques exactly when
+the complement of G[s] is bipartite, and a breadth-first 2-coloring of
+that complement, each component's lowest vertex in the first class,
+gives the classes the backtracker would, in its order.
 """
 
 import math
 from collections import Counter
-from itertools import compress
+from itertools import compress, count
 from operator import add
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
-from .bitset import bit_list, bits, lowest_bit, mask_of
+from .bitset import bit_list, bits, lowest_bit
 from .graph import Graph, enumerate_maximal_independent_sets, maximal_cliques_within
 
 CAP = 64
@@ -52,7 +53,7 @@ class CapacityError(Exception):
     operation that builds a subset table."""
 
 
-def _check_cap(g: Graph) -> None:
+def check_cap(g: Graph) -> None:
     if g.n > CAP:
         raise CapacityError(f"n={g.n} exceeds the cap of {CAP} vertices")
 
@@ -203,8 +204,7 @@ class CoverOracle:
         return self._solve(s)[0]
 
     def at_most(self, s: int, k: int) -> bool:
-        """vcc(s) <= k, with at most one search, at k; for k <= 2 it is
-        the co-bipartite test on s, with no list of its vertices."""
+        """vcc(s) <= k, with at most one search, at k."""
         hit = self.memo.get(s)
         if hit is not None:
             return hit[0] <= k
@@ -216,10 +216,7 @@ class CoverOracle:
             return False
         if k >= hi:
             return True
-        if k <= 2:
-            classes = _two_cliques(self.g.adj, s, k)
-        else:
-            classes = _partition_within(self.g.adj, bit_list(s), k)
+        classes = _partition_within(self.g.adj, s, k)
         if classes is None:
             known[0] = k + 1
             return False
@@ -475,9 +472,9 @@ def ie_chromatic_with_construction(g: Graph) -> Tuple[int, List[int]]:
 
 
 def _two_cliques(adj: List[int], s: int, k: int) -> Optional[List[int]]:
-    """_partition_within over the vertices of s in increasing order, for
-    k <= 2, with no search: s splits into two cliques exactly when the
-    complement of G[s] is bipartite.
+    """The backtracker's partition of s for k <= 2, with no search: s
+    splits into two cliques exactly when the complement of G[s] is
+    bipartite.
 
     A breadth-first sweep of each complement component, from its lowest
     vertex, puts the even layers in class 0 and the odd ones in class 1.
@@ -509,18 +506,19 @@ def _two_cliques(adj: List[int], s: int, k: int) -> Optional[List[int]]:
     return classes if len(classes) <= k else None
 
 
-def _partition_within(adj: List[int], verts: List[int], k: int) -> Optional[List[int]]:
-    """The first partition of verts into at most k cliques that the
+def _partition_within(adj: List[int], s: int, k: int) -> Optional[List[int]]:
+    """The first partition of s into at most k cliques that the
     backtracker finds, or None if there is none.
 
-    Vertices go in the order of verts, each into the first class that
+    Vertices go in increasing order, each into the first class that
     takes it, opening one new class at a time.  The search reads nothing
-    but (adj, verts, k), so a search at a fixed k returns the same
-    partition whatever searches ran before it.  verts is in increasing
-    order, so k <= 2 is left to _two_cliques.
+    but (adj, s, k), so a search at a fixed k returns the same partition
+    whatever searches ran before it.  k <= 2 is left to _two_cliques,
+    so only k >= 3 lists the vertices of s.
     """
     if k <= 2:
-        return _two_cliques(adj, mask_of(verts), k)
+        return _two_cliques(adj, s, k)
+    verts = bit_list(s)
     m = len(verts)
     classes = [0] * k
 
@@ -546,17 +544,15 @@ def vcc(g: Graph, s: int, start: int = 1) -> Tuple[int, List[int]]:
     """Minimum disjoint clique partition of s, by direct backtracking.
 
     Independent of the subset table on purpose: it serves as the
-    second route for cross-checks and for re-covering decomposition
-    bags.  The search runs at k = start, start + 1, ... until one
-    succeeds, so start must be a lower bound on the answer; every start
-    up to the answer gives the same result.  Returns (count, class masks).
+    second route for cross-checks, and the CoverOracle solves its sets
+    with it.  The search runs at k = start, start + 1, ... until one
+    succeeds, which it does by k = |s|, so start must be a lower bound
+    on the answer; every start up to the answer gives the same result.
+    Returns (count, class masks).
     """
-    verts = bit_list(s)
-    m = len(verts)
-    if m == 0:
+    if not s:
         return 0, []
-    for k in range(start, m + 1):
-        classes = _partition_within(g.adj, verts, k)
+    for k in count(start):
+        classes = _partition_within(g.adj, s, k)
         if classes is not None:
             return k, classes
-    return m, [1 << v for v in verts]

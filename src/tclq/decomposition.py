@@ -3,8 +3,11 @@
 A decomposition is a rooted tree (node 0 is the root, parents[0] == -1)
 with a bag per node and an explicit clique collection per node covering
 the bag.  Validation returns a report of violated conditions instead of
-raising.  Witnesses take one path: both general solvers hand their tree
-of bags to from_bag_tree, which numbers and covers it and sanitizes it.
+raising.  A vertex's bags form one subtree exactly when just one of
+them is topmost, the root's or one whose parent lacks the vertex, so
+validate counts topmost bags instead of searching the tree.  Witnesses
+take one path: both general solvers hand their tree of bags to
+from_bag_tree, which numbers and covers it and sanitizes it.
 Sanitization enforces the structural hygiene the solvers' gluing may
 break (empty margins, disconnected components, dangling adhesion
 vertices) and re-derives minimum covers.  Both exact solvers reach
@@ -115,32 +118,21 @@ def validate(g: Graph, d: AugmentedTreeDecomposition) -> ValidityReport:
         missing = bit_list(g.full & ~union_bags)
         report.violations.append(f"vertex coverage: vertices {missing} in no bag")
 
-    # reach[u]: the vertices that share a bag with u
+    # reach[u]: the vertices that share a bag with u; split: the
+    # vertices with a second topmost bag
     reach = [0] * g.n
-    for b in d.bags:
+    tops = split = 0
+    for b, p in zip(d.bags, d.parents):
         for u in bits(b):
             reach[u] |= b
+        top = b & ~d.bags[p] if p >= 0 else b
+        split |= tops & top
+        tops |= top
     for (u, v) in g.edges():
         if not reach[u] >> v & 1:
             report.violations.append(f"edge coverage: edge ({u},{v}) in no bag")
-
-    kids = d.children()
-    for v in range(g.n):
-        nodes = [t for t in range(n) if d.bags[t] >> v & 1]
-        if not nodes:
-            continue
-        want = set(nodes)
-        seen = {nodes[0]}
-        stack = [nodes[0]]
-        while stack:
-            t = stack.pop()
-            nbrs = kids[t] + ([d.parents[t]] if d.parents[t] >= 0 else [])
-            for u in nbrs:
-                if u in want and u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-        if seen != want:
-            report.violations.append(f"subtree connectivity: vertex {v} bags are disconnected")
+    for v in bits(split):
+        report.violations.append(f"subtree connectivity: vertex {v} bags are disconnected")
 
     for t in range(n):
         cover_union = 0

@@ -193,11 +193,9 @@ def maximal_cliques_within(g: Graph, sub: int) -> List[int]:
     return out
 
 
-def enumerate_maximal_independent_sets(g: Graph, sub: Optional[int] = None) -> List[int]:
-    """Maximal independent sets of G[sub] (whole graph by default)."""
-    if sub is None:
-        sub = g.full
-    return maximal_cliques_within(g.complement(), sub)
+def enumerate_maximal_independent_sets(g: Graph) -> List[int]:
+    """Maximal independent sets of G, sorted."""
+    return maximal_cliques_within(g.complement(), g.full)
 
 
 def enumerate_minimal_separators(g: Graph) -> List[int]:
@@ -238,12 +236,7 @@ def enumerate_minimal_separators(g: Graph) -> List[int]:
     return sorted(seps)
 
 
-def enumerate_pmcs(g: Graph) -> List[int]:
-    """All potential maximal cliques of a connected graph, sorted."""
-    return _pmcs_and_separators(g)[0]
-
-
-def _pmcs_and_separators(g: Graph) -> Tuple[List[int], List[int]]:
+def enumerate_pmcs(g: Graph) -> Tuple[List[int], List[int]]:
     """The sorted PMCs and the sorted minimal separators of connected G.
 
     Bouchitte-Todinca one-more-vertex listing ("Listing all potential

@@ -31,7 +31,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .decomposition import AugmentedTreeDecomposition
+from .decomposition import AugmentedTreeDecomposition, validate
 from .graph import Graph
 
 
@@ -203,6 +203,11 @@ def compute_tcl(pi: Sequence[int]) -> int:
 
 
 def solve(pi: Sequence[int]) -> Tuple[int, AugmentedTreeDecomposition]:
-    """tcl(G[pi]) and a path decomposition of that width, from one grid."""
+    """tcl(G[pi]) and a path decomposition of that width, from one grid,
+    validated against G[pi] as sanitize validates the solvers' witnesses."""
     grid = ScanlineGrid(diagram(pi))
-    return grid.tcl(), grid.witness()
+    k, witness = grid.tcl(), grid.witness()
+    rep = validate(inversion_graph(pi), witness)
+    if not rep.ok:
+        raise RuntimeError(f"scanline witness is not a decomposition: {rep}")
+    return k, witness

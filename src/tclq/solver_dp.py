@@ -12,15 +12,19 @@ is S union c).  An entry is a yes when any of three rules applies:
              {v} then covers the junction.
 
 Sub-entries shrink the (part size, component size) pair lexicographically,
-so memoized recursion terminates.  Globally, tcl(G) <= k iff vcc(V) <= k
-or some minimal separator S with vcc(S) <= k makes every entry (S, c) a
-yes.  Minimal separators suffice as roots: filling every bag of a
-width-<=k decomposition into a clique gives a triangulation, and a
-minimal triangulation inside it has each maximal clique inside some bag,
-so its width is <= k too, because vcc is monotone under subsets.  When
-vcc(V) > k that triangulation is not complete, every edge of its clique
-tree is a minimal separator S of G, and the triangulation's bags
-restricted to S union c witness each entry (S, c).
+so memoized recursion terminates, and no entry is read while it is still
+open.  The memo, the entries dict, maps each answered (S, c) to its
+witness, the BagTree of the rule that said yes, or to None for a no.
+
+Globally, tcl(G) <= k iff vcc(V) <= k or some minimal separator S with
+vcc(S) <= k makes every entry (S, c) a yes.  Minimal separators suffice
+as roots: filling every bag of a width-<=k decomposition into a clique
+gives a triangulation, and a minimal triangulation inside it has each
+maximal clique inside some bag, so its width is <= k too, because vcc
+is monotone under subsets.  When vcc(V) > k that triangulation is not
+complete, every edge of its clique tree is a minimal separator S of G,
+and the triangulation's bags restricted to S union c witness each entry
+(S, c).
 
 Every cover test above has the form vcc(s) <= k, so the recursion asks
 its cover source at_most(s, k) and never for a count above k; bag
@@ -47,24 +51,14 @@ round that succeeds is the same, and its witness reads its partitions
 from vcc at a fixed k, which reads only the graph, the set and k.
 """
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .bitset import bits
-from .cover import Cover, CoverOracle, _check_cap
+from .cover import Cover, CoverOracle, check_cap
 # unused here; bench/tests/test_bench.py asserts the tracer patches this binding
 from .cover import lawler_table  # noqa: F401
 from .decomposition import AugmentedTreeDecomposition, BagTree, from_bag_tree, solve_per_component
 from .graph import Graph, enumerate_minimal_separators
-
-
-@dataclass
-class BlockEntry:
-    separator: int
-    part: int
-    size: int
-    answer: Optional[bool] = None
-    witness: Optional[BagTree] = None
 
 
 def _root_order(separators: List[int]) -> List[int]:
@@ -76,7 +70,7 @@ def decide_tcl_at_most_k(
     g: Graph,
     k: int,
     cover: Cover,
-    entries: Optional[Dict[Tuple[int, int], BlockEntry]] = None,
+    entries: Optional[Dict[Tuple[int, int], Optional[BagTree]]] = None,
     *,
     separators: Optional[List[int]] = None,
 ) -> Tuple[bool, Optional[AugmentedTreeDecomposition]]:
@@ -84,7 +78,7 @@ def decide_tcl_at_most_k(
     witness decomposition of width at most k.
 
     cover supplies at_most(s, k) and partition(s) (a CoverOracle or a
-    CoverTable of G).  The optional entries dict collects the processed
+    CoverTable of G).  The optional entries dict collects the answered
     block entries for instrumentation.  separators are the root
     candidates, the minimal separators of G in (size, mask) order; when
     omitted they are enumerated here.
@@ -99,54 +93,47 @@ def decide_tcl_at_most_k(
     if entries is None:
         entries = {}
 
+    def all_yes(blocks) -> Optional[List[BagTree]]:
+        """The witnesses of the entries (sep, comp) in blocks, or None
+        at the first no."""
+        kids = []
+        for sep, comp in blocks:
+            w = yes(sep, comp)
+            if w is None:
+                return None
+            kids.append(w)
+        return kids
+
     def yes(sep: int, comp: int) -> Optional[BagTree]:
         key = (sep, comp)
-        ent = entries.get(key)
-        if ent is not None and ent.answer is not None:
-            return ent.witness if ent.answer else None
+        if key not in entries:
+            entries[key] = answer(sep, comp)
+        return entries[key]
+
+    def answer(sep: int, comp: int) -> Optional[BagTree]:
         part = sep | comp
-        ent = BlockEntry(sep, part, part.bit_count())
-        entries[key] = ent
         if at_most(part, k):
-            ent.answer, ent.witness = True, (part, [])
-            return ent.witness
+            return part, []
         nb = g.neighbors(comp)
         if nb != sep:
             w = yes(nb, comp)
             if w is not None:
-                ent.answer, ent.witness = True, (sep, [w])
-                return ent.witness
+                return sep, [w]
         for v in bits(comp):
             hub = sep | (1 << v)
-            if not at_most(hub, k):
-                continue
-            kids = []
-            for d, nd in g.component_neighborhoods(comp & ~(1 << v)):
-                w = yes(nd, d)
-                if w is None:
-                    kids = None
-                    break
-                kids.append(w)
-            if kids is not None:
-                ent.answer, ent.witness = True, (hub, kids)
-                return ent.witness
-        ent.answer = False
+            if at_most(hub, k):
+                kids = all_yes((nd, d) for d, nd in g.component_neighborhoods(comp & ~(1 << v)))
+                if kids is not None:
+                    return hub, kids
         return None
 
     if separators is None:
         separators = _root_order(enumerate_minimal_separators(g))
     for s in separators:
-        if not at_most(s, k):
-            continue
-        kids = []
-        for c in g.components_within(g.full & ~s):
-            w = yes(s, c)
-            if w is None:
-                kids = None
-                break
-            kids.append(w)
-        if kids is not None:
-            return True, from_bag_tree(g, (s, kids), cover)
+        if at_most(s, k):
+            kids = all_yes((s, c) for c in g.components_within(g.full & ~s))
+            if kids is not None:
+                return True, from_bag_tree(g, (s, kids), cover)
     return False, None
 
 
@@ -170,7 +157,7 @@ def _core(g: Graph, alive: int, k: int, cover: Cover) -> int:
 
 
 def _tcl_connected(g: Graph) -> Tuple[int, AugmentedTreeDecomposition]:
-    _check_cap(g)
+    check_cap(g)
     cover = CoverOracle(g)
     separators = _root_order(enumerate_minimal_separators(g))
     k, core = 1, g.full

@@ -34,12 +34,13 @@ sub-blocks.  It is skipped when the floor, or a single search showing
 vcc(Omega) >= best, rules out beating the best so far; otherwise it
 costs the floor when vcc(Omega) <= floor, and vcc(Omega) only above it.
 The graph itself is the last block, (empty set, V), whose options are
-the inclusion-minimal separators with all components of G - S.
+the inclusion-minimal separators with all components of G - S.  A
+complete or empty graph has none, so its value is vcc(V), one bag.
 
 Above DENSE_MAX_N vertices, nothing here is indexed by all 2^n
-subsets.  The PMCs and the minimal separators come from one listing
-(graph.enumerate_pmcs and its helper), which builds the PMCs from the
-minimal separators, and every vcc test and bag partition comes from one
+subsets.  The PMCs and the minimal separators come from one listing,
+graph.enumerate_pmcs, which builds the PMCs from the minimal
+separators, and every vcc test and bag partition comes from one
 memoized CoverOracle, which solves only the sets the recurrence reads.
 Up to DENSE_MAX_N vertices the catalog comes from a Lawler table and an
 is_pmc sweep over all subsets.
@@ -48,9 +49,9 @@ is_pmc sweep over all subsets.
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from .cover import Cover, CoverOracle, _check_cap, lawler_table
+from .cover import Cover, CoverOracle, check_cap, lawler_table
 from .decomposition import AugmentedTreeDecomposition, BagTree, from_bag_tree, solve_per_component
-from .graph import Graph, _pmcs_and_separators, enumerate_minimal_separators, is_pmc
+from .graph import Graph, enumerate_minimal_separators, enumerate_pmcs, is_pmc
 
 # Largest n whose catalog comes from the dense table and subset sweep.
 # `tclq solve` over all connected graphs with n <= 4 takes 0.83 of the
@@ -75,14 +76,14 @@ def build_catalog(g: Graph) -> Tuple[PmcCatalog, Cover]:
     cover is a Lawler table; above it the PMCs are listed from the
     minimal separators and the cover is a lazy oracle.  No vcc value is
     computed here."""
-    _check_cap(g)
+    check_cap(g)
     if g.n <= DENSE_MAX_N:
         cover: Cover = lawler_table(g)
         pmcs = [s for s in range(1 << g.n) if is_pmc(g, s)]
         seps = enumerate_minimal_separators(g)
     else:
         cover = CoverOracle(g)
-        pmcs, seps = _pmcs_and_separators(g)
+        pmcs, seps = enumerate_pmcs(g)
     sep_set = set(seps)
     incl_min = [s for s in seps if not any(t != s and t & ~s == 0 for t in sep_set)]
     return PmcCatalog(pmcs, seps, incl_min, cover), cover
@@ -123,10 +124,6 @@ def tcl_via_pmc(g: Graph, catalog: PmcCatalog) -> Tuple[int, AugmentedTreeDecomp
     if not g.is_connected():
         raise ValueError("block recurrence requires a connected graph")
     cover = catalog.cover
-    if not catalog.separators:
-        # no separator means the graph is complete or empty: one bag
-        return cover.value(g.full), from_bag_tree(g, (g.full, []), cover)
-
     served = block_index(g, catalog)
     # the graph is the last block, (empty, V), with the root separators
     root = (0, g.full)

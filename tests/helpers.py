@@ -10,8 +10,8 @@ from tclq import cover, graph, io
 from tclq.bitset import bits, mask_of
 from tclq.cli import main
 from tclq.cover import Cover, CoverOracle
-from tclq.decomposition import (AugmentedTreeDecomposition, anatomy, from_bag_tree, validate,
-                                width)
+from tclq.decomposition import (AugmentedTreeDecomposition, ValidityReport, _tree_structure_errors,
+                                anatomy, from_bag_tree, validate, width)
 from tclq.graph import Graph, enumerate_minimal_separators, expand_mask, maximal_cliques_within
 from tclq.solver_pmc import build_catalog
 
@@ -112,6 +112,67 @@ def merge_siblings(rng, d: AugmentedTreeDecomposition) -> AugmentedTreeDecomposi
     pos = {t: i for i, t in enumerate(keep)}
     return decomp([-1 if parents[t] < 0 else pos[parents[t]] for t in keep],
                   [bags[t] for t in keep], [covers[t] for t in keep])
+
+
+def reference_validate(g: Graph, d: AugmentedTreeDecomposition) -> ValidityReport:
+    """validate with a search of the tree per vertex: a vertex's bags must
+    be reachable from its first bag through bags that hold it.  The
+    differential tests hold tclq.decomposition.validate to it."""
+    report = ValidityReport()
+    errs = _tree_structure_errors(d)
+    if errs:
+        report.violations.extend(errs)
+        return report
+    n = d.num_nodes
+
+    union_bags = 0
+    for b in d.bags:
+        if b & ~g.full:
+            report.violations.append(f"bag contains out-of-range vertices: {bin(b)}")
+            return report
+        union_bags |= b
+    if union_bags != g.full:
+        missing = [v for v in range(g.n) if not union_bags >> v & 1]
+        report.violations.append(f"vertex coverage: vertices {missing} in no bag")
+
+    reach = [0] * g.n
+    for b in d.bags:
+        for u in bits(b):
+            reach[u] |= b
+    for (u, v) in g.edges():
+        if not reach[u] >> v & 1:
+            report.violations.append(f"edge coverage: edge ({u},{v}) in no bag")
+
+    kids = d.children()
+    for v in range(g.n):
+        nodes = [t for t in range(n) if d.bags[t] >> v & 1]
+        if not nodes:
+            continue
+        want = set(nodes)
+        seen = {nodes[0]}
+        stack = [nodes[0]]
+        while stack:
+            t = stack.pop()
+            nbrs = kids[t] + ([d.parents[t]] if d.parents[t] >= 0 else [])
+            for u in nbrs:
+                if u in want and u not in seen:
+                    seen.add(u)
+                    stack.append(u)
+        if seen != want:
+            report.violations.append(f"subtree connectivity: vertex {v} bags are disconnected")
+
+    for t in range(n):
+        cover_union = 0
+        for c in d.covers[t]:
+            if c & ~d.bags[t]:
+                report.violations.append(f"clique validity: node {t} clique leaves the bag")
+            if not g.is_clique(c):
+                report.violations.append(
+                    f"clique validity: node {t} set {list(bits(c))} is not a clique")
+            cover_union |= c
+        if cover_union != d.bags[t]:
+            report.violations.append(f"cover union: node {t} cliques do not union to the bag")
+    return report
 
 
 def reference_sanitize(g: Graph, d: AugmentedTreeDecomposition,
@@ -300,7 +361,7 @@ def reference_pmcs_and_separators(g: Graph):
     Omega' + a and Omega', S + a also when a lies in S, and each
     S + (T & C) once per (T, C) through a memo, minimal separators
     included.  It calls is_pmc through tclq.graph, so a patched binding
-    sees its calls.  The tests hold graph._pmcs_and_separators to it."""
+    sees its calls.  The tests hold graph.enumerate_pmcs to it."""
     n = g.n
     if n == 0:
         return [], []

@@ -562,7 +562,7 @@ class TestTwoCliques:
             for s in range(1 << g.n):
                 want = index_order_partition(g.adj, bit_list(s), k)
                 for got in (cover._two_cliques(g.adj, s, k),
-                            cover._partition_within(g.adj, bit_list(s), k)):
+                            cover._partition_within(g.adj, s, k)):
                     assert (got is None) == (want is None), (g, s, k)
                     assert got == want, (g, s, k)
                 assert CoverOracle(g).at_most(s, k) == (want is not None)

@@ -31,6 +31,7 @@ from helpers import (
     path,
     perturb,
     reference_sanitize,
+    reference_validate,
     star,
 )
 
@@ -180,6 +181,54 @@ class TestValidateCorrupted:
             assert report[:len(head) + len(want)] == head + want
             assert not any(v.startswith("edge coverage") for v in report[len(head) + len(want):])
         assert edge_reports > 0
+
+
+def random_decomposition(rng, g: Graph) -> AugmentedTreeDecomposition:
+    """A tree on up to seven nodes, numbered in random order from the root
+    0, with random bags and each bag split into random cover sets."""
+    m = rng.randint(1, 7)
+    order = [0] + rng.sample(range(1, m), m - 1)
+    parents = [-1] * m
+    for i in range(1, m):
+        parents[order[i]] = order[rng.randrange(i)]
+    bags = [rng.getrandbits(g.n) for _ in range(m)]
+    covers = []
+    for b in bags:
+        parts = [0] * rng.randint(1, 3)
+        for v in bits(b):
+            parts[rng.randrange(len(parts))] |= 1 << v
+        covers.append([c for c in parts if c])
+    return decomp(parents, bags, covers)
+
+
+class TestValidateMatchesReference:
+    """validate counts topmost bags; the reference searches the tree per
+    vertex.  Their reports must agree, message for message, in order."""
+
+    def test_seeded_random(self):
+        rng = random.Random("validate-reference")
+        valid = split = 0
+        for _ in range(1500):
+            g = generators.gen_random(rng, rng.randint(1, 9), rng.choice((0.3, 0.6, 0.9)))
+            kind = rng.randrange(3)
+            if kind == 0:
+                d = random_decomposition(rng, g)
+            else:
+                d = perturb(rng, g, compute_tcl(g)[1])
+                if kind == 2:
+                    # move a subtree or drop a vertex from a bag
+                    parents, bags = list(d.parents), list(d.bags)
+                    t = rng.randrange(len(bags))
+                    if t and rng.random() < 0.5:
+                        parents[t] = rng.randrange(len(bags))
+                    elif bags[t]:
+                        bags[t] &= ~(1 << rng.choice(list(bits(bags[t]))))
+                    d = AugmentedTreeDecomposition(tuple(parents), tuple(bags), d.covers)
+            got = validate(g, d).violations
+            assert got == reference_validate(g, d).violations, (g, d)
+            valid += not got
+            split += any(v.startswith("subtree connectivity") for v in got)
+        assert valid > 300 and split > 300, (valid, split)
 
 
 class TestWidth:

@@ -9,7 +9,6 @@ from tclq.graph import (
     Graph,
     enumerate_maximal_independent_sets,
     enumerate_minimal_separators,
-    _pmcs_and_separators,
     enumerate_pmcs,
     is_pmc,
     maximal_cliques_within,
@@ -323,15 +322,15 @@ def pmc_sweep(g: Graph):
 
 def assert_listing_matches(g: Graph):
     # the listing's last prefix graph is G, so its Delta is Delta(G)
-    pmcs, seps = _pmcs_and_separators(g)
+    pmcs, seps = enumerate_pmcs(g)
     assert pmcs == pmc_sweep(g), g
     assert seps == enumerate_minimal_separators(g), g
 
 
 class TestEnumeratePmcs:
     def test_trivial(self):
-        assert enumerate_pmcs(Graph.from_edges(0, [])) == []
-        assert enumerate_pmcs(Graph.from_edges(1, [])) == [1]
+        assert enumerate_pmcs(Graph.from_edges(0, [])) == ([], [])
+        assert enumerate_pmcs(Graph.from_edges(1, [])) == ([1], [])
 
     def test_disconnected_rejected(self):
         with pytest.raises(ValueError):
@@ -357,19 +356,19 @@ class TestListingMatchesReference:
     def test_connected_to_8(self):
         for n in range(1, 9):
             for g in connected_graphs(n):
-                assert _pmcs_and_separators(g) == reference_pmcs_and_separators(g), g
+                assert enumerate_pmcs(g) == reference_pmcs_and_separators(g), g
 
     @pytest.mark.parametrize("n", range(9, 19))
     def test_seeded_random(self, n):
         rng = random.Random(f"pmc-listing-reference:{n}")
         for p in (0.1, 0.2, 0.35, 0.5, 0.7, 0.85):
             g = gen_random(rng, n, p, connected=True)
-            assert _pmcs_and_separators(g) == reference_pmcs_and_separators(g), g
+            assert enumerate_pmcs(g) == reference_pmcs_and_separators(g), g
 
     def test_fewer_is_pmc_calls_and_none_on_a_separator(self, monkeypatch):
         g = gen_random(random.Random("pmc-listing-calls"), 14, 0.4, connected=True)
         calls = count_calls(monkeypatch, is_pmc)
-        ours = _pmcs_and_separators(g)
+        ours = enumerate_pmcs(g)
         ours_calls = list(calls)
         calls.clear()
         assert reference_pmcs_and_separators(g) == ours

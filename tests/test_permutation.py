@@ -10,7 +10,7 @@ import pytest
 from tclq import permutation
 from tclq.bitset import mask_of
 from tclq.cover import vcc
-from tclq.decomposition import validate, width
+from tclq.decomposition import AugmentedTreeDecomposition, validate, width
 from tclq.generators import gen_permutation
 from tclq.io import serialize_decomposition
 from tclq.permutation import (
@@ -266,6 +266,18 @@ class TestScanlineGrid:
     def test_solve_empty(self):
         k, d = solve([])
         assert k == 0 and d.num_nodes == 1 and d.bags == (0,)
+
+    def test_solve_rejects_a_broken_witness(self, monkeypatch):
+        witness = ScanlineGrid.witness
+
+        def drop_last_bag(grid):
+            d = witness(grid)
+            return AugmentedTreeDecomposition(d.parents[:-1], d.bags[:-1], d.covers[:-1])
+
+        monkeypatch.setattr(ScanlineGrid, "witness", drop_last_bag)
+        # two crossing pairs: bags {0, 1} and {2, 3}, so the last bag holds 2 and 3 alone
+        with pytest.raises(RuntimeError, match=r"vertices \[2, 3\] in no bag"):
+            solve([2, 1, 4, 3])
 
     def test_witness_bytes_pinned(self):
         # the digest was computed when the witness became the DP's own path

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from tclq import cover, io, solver_dp
-from tclq.bitset import bits
+from tclq.bitset import bits, mask_of
 from tclq.cover import CapacityError, CoverOracle, lawler_table
 from tclq.decomposition import validate, width
 from tclq.generators import gen_random
@@ -25,6 +25,14 @@ from helpers import (
     path,
     solve_cli,
 )
+
+
+def bag_union(tree) -> int:
+    """The union of the bags of a (bag, children) tree."""
+    bag, kids = tree
+    for kid in kids:
+        bag |= bag_union(kid)
+    return bag
 
 
 def decide(g, k, entries=None):
@@ -263,8 +271,7 @@ class TestBlockInstrumentation:
                 decide_tcl_at_most_k(g, k, table, entries)
                 for (sep, comp), ent in entries.items():
                     assert sep & comp == 0
-                    assert ent.part == sep | comp
-                    assert ent.size == ent.part.bit_count()
+                    assert ent is None or bag_union(ent) == sep | comp
                     assert table.values[sep] <= k
                     assert g.is_connected(comp)
                     assert g.neighbors(comp) & ~sep == 0
@@ -280,13 +287,25 @@ class TestBlockInstrumentation:
                 ok, _ = decide_tcl_at_most_k(g, k, table)
                 assert ok == (truth <= k)
 
+    def test_reduction_entry_keeps_its_separator(self):
+        # {0, 6} separates the component {1, 4}, which sees only 6; the
+        # part is no clique, so the entry is a yes by the reduction rule,
+        # the bag {0, 6} over the witness of ({6}, {1, 4})
+        g = Graph.from_edges(7, [(0, 3), (0, 5), (0, 6), (1, 4), (1, 6), (2, 5), (2, 6),
+                                 (3, 6), (4, 6)])
+        entries = {}
+        decide_tcl_at_most_k(g, 1, lawler_table(g), entries)
+        sep, comp = mask_of([0, 6]), mask_of([1, 4])
+        assert g.neighbors(comp) == mask_of([6])
+        assert entries[(sep, comp)] == (sep, [(mask_of([1, 4, 6]), [])])
+
     def test_yes_entries_have_witness(self):
         g = cycle(6)
         table = lawler_table(g)
         entries = {}
         ok, _ = decide_tcl_at_most_k(g, 2, table, entries)
         assert ok
-        answered = [e for e in entries.values() if e.answer is not None]
-        assert answered
-        for e in answered:
-            assert (e.witness is not None) == bool(e.answer)
+        assert any(w is not None for w in entries.values())
+        for (sep, comp), w in entries.items():
+            # a yes holds its witness, whose bags cover exactly the part
+            assert w is None or bag_union(w) == sep | comp

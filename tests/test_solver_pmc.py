@@ -119,6 +119,14 @@ class TestTclViaPmc:
         assert k == 1
         assert d.num_nodes == 1 and d.bags == (0b1111,)
 
+    @pytest.mark.parametrize("n", range(7))
+    def test_complete_graph_is_one_bag(self, n):
+        # complete(0) is the empty graph: value 0, one empty bag
+        g = complete(n)
+        k, d = self.run(g)
+        assert k == min(n, 1)
+        assert d.parents == (-1,) and d.bags == (g.full,)
+
     def test_matches_oracle_and_dp(self, connected_to_6):
         for g in connected_to_6:
             k, d = self.run(g)
