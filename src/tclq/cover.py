@@ -30,7 +30,9 @@ still returns the partition that counting up from 1 finds.  At k <= 2
 the search is no backtracking: s splits into two cliques exactly when
 the complement of G[s] is bipartite, and a breadth-first 2-coloring of
 that complement, each component's lowest vertex in the first class,
-gives the classes the backtracker would, in its order.
+gives the classes the backtracker would, in its order.  The same
+layering tells, with no search, which v keep s + v within two cliques
+(hubs_within): v must see all of one side of each complement component.
 """
 
 import math
@@ -471,27 +473,26 @@ def ie_chromatic_with_construction(g: Graph) -> Tuple[int, List[int]]:
     return k, coloring
 
 
-def _two_cliques(adj: List[int], s: int, k: int) -> Optional[List[int]]:
-    """The backtracker's partition of s for k <= 2, with no search: s
-    splits into two cliques exactly when the complement of G[s] is
-    bipartite.
+def _complement_layers(adj: List[int], s: int) -> Optional[List[Tuple[int, int]]]:
+    """(A_K, B_K) for each component K of the complement of G[s], in
+    order of lowest vertex, or None if s is not co-bipartite.
 
-    A breadth-first sweep of each complement component, from its lowest
-    vertex, puts the even layers in class 0 and the odd ones in class 1.
-    That is the backtracker's first solution: the lowest vertex of a
-    component has no non-neighbour before it, so class 0 takes it, and
-    the rest of the component follows by parity.  A complement edge
-    joins two vertices of one layer or of consecutive layers, so a class
-    fails to be a clique exactly when some layer holds a non-edge.
+    A breadth-first sweep of K from its lowest vertex puts the even
+    layers in A_K and the odd ones in B_K; B_K is empty exactly when K
+    is one vertex, adjacent to the rest of s.  A complement edge joins
+    two vertices of one layer or of consecutive layers, so A_K and B_K
+    are cliques exactly when no layer holds a non-edge.
     """
-    classes = [0, 0]
+    out = []
     rest = s
     while rest:
-        frontier = rest & -rest
-        side = 0
+        first = frontier = rest & -rest
+        # side takes each layer, then side and other swap, so each holds
+        # every second layer; A_K is the one holding the lowest vertex
+        side = other = 0
         while frontier:
-            rest &= ~frontier
-            classes[side] |= frontier
+            rest ^= frontier
+            side |= frontier
             reached = 0
             todo = frontier
             while todo:
@@ -500,10 +501,68 @@ def _two_cliques(adj: List[int], s: int, k: int) -> Optional[List[int]]:
                 non = ~adj[low.bit_length() - 1]
                 if frontier & non != low:
                     return None
-                reached |= rest & non
-            frontier, side = reached, side ^ 1
-    classes = [c for c in classes if c]
+                reached |= non
+            frontier = reached & rest
+            side, other = other, side
+        out.append((other, side) if other & first else (side, other))
+    return out
+
+
+def _two_cliques(adj: List[int], s: int, k: int) -> Optional[List[int]]:
+    """The backtracker's partition of s for k <= 2, with no search: s
+    splits into two cliques exactly when the complement of G[s] is
+    bipartite.
+
+    The classes are the unions of the A_K and of the B_K of
+    _complement_layers.  That is the backtracker's first solution: the
+    lowest vertex of a complement component has no non-neighbour before
+    it, so class 0 takes it, and the rest of the component follows by
+    parity.
+    """
+    layers = _complement_layers(adj, s)
+    if layers is None:
+        return None
+    a = b = 0
+    for x, y in layers:
+        a |= x
+        b |= y
+    classes = [a, b] if b else [a] if a else []
     return classes if len(classes) <= k else None
+
+
+def _common_closed(adj: List[int], s: int) -> int:
+    """The vertices in or adjacent to every vertex of s (all of them for
+    s empty)."""
+    common = -1
+    while s:
+        low = s & -s
+        common &= adj[low.bit_length() - 1] | low
+        s ^= low
+    return common
+
+
+def hubs_within(adj: List[int], s: int, c: int, k: int) -> int:
+    """The v in c (disjoint from s) with vcc(s + v) <= k, as a mask, for
+    k in (1, 2) and s with vcc(s) <= k; RuntimeError if vcc(s) > k.
+
+    No search runs: at k = 1, s + v is a clique when v is adjacent to
+    all of s.  At k = 2, v joins each complement component K of G[s]
+    through its non-neighbours there, so s + v stays co-bipartite when,
+    for every K, those lie on one side: v is adjacent to all of A_K or
+    to all of B_K.
+    """
+    if k == 1:
+        common = _common_closed(adj, s)
+        if s & ~common:
+            raise RuntimeError("hub test at k = 1 on a set that is no clique")
+        return c & common
+    layers = _complement_layers(adj, s)
+    if layers is None:
+        raise RuntimeError("hub test at k = 2 on a set that is not co-bipartite")
+    for x, y in layers:
+        if y:
+            c &= _common_closed(adj, x) | _common_closed(adj, y)
+    return c
 
 
 def _partition_within(adj: List[int], s: int, k: int) -> Optional[List[int]]:

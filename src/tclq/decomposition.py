@@ -119,7 +119,9 @@ def validate(g: Graph, d: AugmentedTreeDecomposition) -> ValidityReport:
         report.violations.append(f"vertex coverage: vertices {missing} in no bag")
 
     # reach[u]: the vertices that share a bag with u; split: the
-    # vertices with a second topmost bag
+    # vertices with a second topmost bag.  An edge uv, u < v, is covered
+    # when v is in reach[u], so row u's missing edges are its bits above
+    # u outside reach[u].
     reach = [0] * g.n
     tops = split = 0
     for b, p in zip(d.bags, d.parents):
@@ -128,8 +130,8 @@ def validate(g: Graph, d: AugmentedTreeDecomposition) -> ValidityReport:
         top = b & ~d.bags[p] if p >= 0 else b
         split |= tops & top
         tops |= top
-    for (u, v) in g.edges():
-        if not reach[u] >> v & 1:
+    for u, row in enumerate(g.adj):
+        for v in bits(row & ~reach[u] & -(2 << u)):
             report.violations.append(f"edge coverage: edge ({u},{v}) in no bag")
     for v in bits(split):
         report.violations.append(f"subtree connectivity: vertex {v} bags are disconnected")
@@ -333,7 +335,8 @@ def solve_per_component(
     A clique component is answered without the solver: tcl 1, one bag
     covered by one clique, which is the witness both solvers give it.
     The isolated vertices are such components; they are read off the
-    adjacency rows in one pass, and only the rest is swept."""
+    adjacency rows in one pass, and only the rest is swept.  A component
+    that is all of g is solved on g itself, with no relabelling."""
     if g.n == 0:
         return 0, AugmentedTreeDecomposition((-1,), (0,), ((),))
 
@@ -346,6 +349,8 @@ def solve_per_component(
     for comp in g.components_within(reduce(or_, filter(None, g.adj), 0)):
         if g.is_clique(comp):
             k, atd = 1, one_bag(comp)
+        elif comp == g.full:
+            k, atd = solve_connected(g)
         else:
             sub, verts = g.induced_subgraph(comp)
             k, atd = solve_connected(sub)

@@ -7,7 +7,8 @@ cliques, maximal independent sets, minimal separators, the potential
 maximal clique (PMC) test, and PMC listing from the minimal separators.
 Those primitives share one sweep, component_neighborhoods, which yields
 each component C of G[s] with N(C) from the adjacency rows its search
-ORs together, walking bits with an inline lowest-bit loop.
+ORs together, walking bits with an inline lowest-bit loop.  The
+separator listing remembers the sets it has swept and sweeps each once.
 """
 
 from functools import cache
@@ -218,21 +219,27 @@ def enumerate_minimal_separators(g: Graph) -> List[int]:
 
     # Berry-Bordat-Cogis generation: seed with neighborhoods of the
     # components of G minus N[v], then saturate by removing N(x) for
-    # each x in an already-found separator.
+    # each x in an already-found separator.  Many (s, x) remove the
+    # same set, and a set already swept yields nothing new.
     seps = set()
+    swept = set()
     queue: List[int] = []
-    for v in range(n):
-        for _, s in g.component_neighborhoods(g.full & ~g.nbr_closed(v)):
+
+    def sweep(rest: int) -> None:
+        if rest in swept:
+            return
+        swept.add(rest)
+        for _, s in g.component_neighborhoods(rest):
             if s and s not in seps:
                 seps.add(s)
                 queue.append(s)
+
+    for v in range(n):
+        sweep(g.full & ~g.nbr_closed(v))
     while queue:
         s = queue.pop()
         for x in bit_list(s):
-            for _, cand in g.component_neighborhoods(g.full & ~(s | g.adj[x])):
-                if cand and cand not in seps:
-                    seps.add(cand)
-                    queue.append(cand)
+            sweep(g.full & ~(s | g.adj[x]))
     return sorted(seps)
 
 

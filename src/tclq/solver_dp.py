@@ -16,6 +16,16 @@ so memoized recursion terminates, and no entry is read while it is still
 open.  The memo, the entries dict, maps each answered (S, c) to its
 witness, the BagTree of the rule that said yes, or to None for a no.
 
+A sub-entry's separator is N(D), so the reduction rule can fire only at
+a root entry; each entry carries N(c) from the sweep that found c, and
+no neighbourhood is computed again.  Every entry has vcc(S) <= k (a root
+is tested, and N(D) lies in a hub bag), so at k <= 2 the hubs of an
+entry are read off neighbourhood masks (cover.hubs_within) with no
+search, and at k >= 3 one test vcc(S) <= k - 1 admits every v in c at
+once, since v adds at most one class.  The sweep of a set, its
+components with their neighbourhoods, reads only G, so compute_tcl
+keeps one memo of sweeps for all its rounds.
+
 Globally, tcl(G) <= k iff vcc(V) <= k or some minimal separator S with
 vcc(S) <= k makes every entry (S, c) a yes.  Minimal separators suffice
 as roots: filling every bag of a width-<=k decomposition into a clique
@@ -51,10 +61,10 @@ round that succeeds is the same, and its witness reads its partitions
 from vcc at a fixed k, which reads only the graph, the set and k.
 """
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .bitset import bits
-from .cover import Cover, CoverOracle, check_cap
+from .cover import Cover, CoverOracle, check_cap, hubs_within
 # unused here; bench/tests/test_bench.py asserts the tracer patches this binding
 from .cover import lawler_table  # noqa: F401
 from .decomposition import AugmentedTreeDecomposition, BagTree, from_bag_tree, solve_per_component
@@ -73,6 +83,7 @@ def decide_tcl_at_most_k(
     entries: Optional[Dict[Tuple[int, int], Optional[BagTree]]] = None,
     *,
     separators: Optional[List[int]] = None,
+    sweeps: Optional[Dict[int, List[Tuple[int, int]]]] = None,
 ) -> Tuple[bool, Optional[AugmentedTreeDecomposition]]:
     """Decide tcl(G) <= k for connected G; on yes, return a sanitized
     witness decomposition of width at most k.
@@ -81,7 +92,9 @@ def decide_tcl_at_most_k(
     CoverTable of G).  The optional entries dict collects the answered
     block entries for instrumentation.  separators are the root
     candidates, the minimal separators of G in (size, mask) order; when
-    omitted they are enumerated here.
+    omitted they are enumerated here.  sweeps memoizes
+    g.component_neighborhoods by the swept set; a caller that decides
+    several k on one graph passes the same dict to each.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -92,46 +105,60 @@ def decide_tcl_at_most_k(
         return True, from_bag_tree(g, (g.full, []), cover)
     if entries is None:
         entries = {}
+    if sweeps is None:
+        sweeps = {}
+    adj = g.adj
 
-    def all_yes(blocks) -> Optional[List[BagTree]]:
-        """The witnesses of the entries (sep, comp) in blocks, or None
-        at the first no."""
+    def sweep(s: int) -> List[Tuple[int, int]]:
+        hit = sweeps.get(s)
+        if hit is None:
+            hit = sweeps[s] = g.component_neighborhoods(s)
+        return hit
+
+    def hubs(sep: int, comp: int) -> Iterator[int]:
+        """The v in comp with vcc(sep + v) <= k, in increasing order;
+        vcc(sep) <= k holds for every entry."""
+        if k <= 2:
+            return bits(hubs_within(adj, sep, comp, k))
+        if at_most(sep, k - 1):
+            return bits(comp)
+        return (v for v in bits(comp) if at_most(sep | 1 << v, k))
+
+    def all_yes(blocks: List[Tuple[int, int]], sep: int = 0) -> Optional[List[BagTree]]:
+        """The witnesses of the entries (sep, c), or (N(c), c) when sep
+        is 0 (no root is empty), for the (c, N(c)) in blocks, or None at
+        the first no."""
         kids = []
-        for sep, comp in blocks:
-            w = yes(sep, comp)
+        for comp, nb in blocks:
+            key = (sep or nb, comp)
+            if key in entries:
+                w = entries[key]
+            else:
+                w = entries[key] = answer(key[0], comp, nb)
             if w is None:
                 return None
             kids.append(w)
         return kids
 
-    def yes(sep: int, comp: int) -> Optional[BagTree]:
-        key = (sep, comp)
-        if key not in entries:
-            entries[key] = answer(sep, comp)
-        return entries[key]
-
-    def answer(sep: int, comp: int) -> Optional[BagTree]:
+    def answer(sep: int, comp: int, nb: int) -> Optional[BagTree]:
         part = sep | comp
         if at_most(part, k):
             return part, []
-        nb = g.neighbors(comp)
         if nb != sep:
-            w = yes(nb, comp)
-            if w is not None:
-                return sep, [w]
-        for v in bits(comp):
-            hub = sep | (1 << v)
-            if at_most(hub, k):
-                kids = all_yes((nd, d) for d, nd in g.component_neighborhoods(comp & ~(1 << v)))
-                if kids is not None:
-                    return hub, kids
+            kids = all_yes([(comp, nb)])
+            if kids is not None:
+                return sep, kids
+        for v in hubs(sep, comp):
+            kids = all_yes(sweep(comp & ~(1 << v)))
+            if kids is not None:
+                return sep | 1 << v, kids
         return None
 
     if separators is None:
         separators = _root_order(enumerate_minimal_separators(g))
     for s in separators:
         if at_most(s, k):
-            kids = all_yes((s, c) for c in g.components_within(g.full & ~s))
+            kids = all_yes(sweep(g.full & ~s), s)
             if kids is not None:
                 return True, from_bag_tree(g, (s, kids), cover)
     return False, None
@@ -160,6 +187,8 @@ def _tcl_connected(g: Graph) -> Tuple[int, AugmentedTreeDecomposition]:
     check_cap(g)
     cover = CoverOracle(g)
     separators = _root_order(enumerate_minimal_separators(g))
+    # the sweep of a set reads only g, so every round shares one memo
+    sweeps: Dict[int, List[Tuple[int, int]]] = {}
     k, core = 1, g.full
     while True:
         # the core at k + 1 lies inside the core at k, so each peel
@@ -167,7 +196,8 @@ def _tcl_connected(g: Graph) -> Tuple[int, AugmentedTreeDecomposition]:
         if k > 1:
             core = _core(g, core, k, cover)
         if k == 1 or not core:
-            ok, atd = decide_tcl_at_most_k(g, k, cover, separators=separators)
+            ok, atd = decide_tcl_at_most_k(g, k, cover, separators=separators,
+                                           sweeps=sweeps)
             if ok:
                 return k, atd
         k += 1

@@ -31,7 +31,7 @@ from tclq.io import (
     serialize_graph,
     serialize_permutation,
 )
-from tclq.oracle import OracleBudget, brute_chromatic, is_chordal, tcl_oracle
+from tclq.oracle import OracleBudget, is_chordal, tcl_oracle
 from tclq.permutation import inversion_graph
 from tclq.solver_dp import compute_tcl as dp_tcl
 

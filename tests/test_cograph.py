@@ -17,7 +17,6 @@ from tclq.cograph import (
 )
 from tclq.cover import vcc
 from tclq.generators import gen_corpora, gen_cotree_text
-from tclq.graph import Graph
 from tclq.solver_dp import compute_tcl as dp_tcl
 
 from helpers import is_p4_free

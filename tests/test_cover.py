@@ -7,7 +7,7 @@ import random
 import pytest
 
 from tclq import cover
-from tclq.bitset import bit_list, bits, mask_of
+from tclq.bitset import bit_list, bits, submasks
 from tclq.cover import (
     TABLE_MAX_N,
     CapacityError,
@@ -24,7 +24,7 @@ from tclq.graph import Graph, enumerate_maximal_independent_sets, maximal_clique
 from tclq.oracle import brute_chromatic
 
 from corpus import connected_graphs, graphs_up_to
-from helpers import complete, count_calls, cycle, empty, forbid, path, star
+from helpers import complete, count_calls, cycle, empty, forbid, star
 
 
 def nonempty_independent_sets(g: Graph):
@@ -576,6 +576,32 @@ class TestTwoCliques:
         answers = [[CoverOracle(g).at_most(g.full, k) for k in (0, 1, 2)] for g in graphs]
         assert answers == [[False, False, True], [False, False, False]]
         assert len(searched) == 2
+
+
+class TestHubsWithin:
+    """hubs_within reads the v with vcc(s + v) <= k off masks, for k <= 2
+    and every s with vcc(s) <= k."""
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_matches_threshold_queries(self, connected_to_6, k):
+        for g in connected_to_6:
+            oracle = CoverOracle(g)
+            for s in range(1 << g.n):
+                if not oracle.at_most(s, k):
+                    continue
+                rest = g.full & ~s
+                fits = sum(1 << v for v in bits(rest) if oracle.at_most(s | 1 << v, k))
+                for c in submasks(rest):
+                    assert cover.hubs_within(g.adj, s, c, k) == c & fits, (g, s, c, k)
+
+    def test_set_above_k_is_an_error(self):
+        # C5 is its own complement, an odd cycle: vcc 3
+        with pytest.raises(RuntimeError):
+            cover.hubs_within(cycle(5).adj, cycle(5).full, 0, 2)
+        # {0, 2} is no clique in the path 0-1-2
+        p3 = Graph.from_edges(3, [(0, 1), (1, 2)])
+        with pytest.raises(RuntimeError):
+            cover.hubs_within(p3.adj, 0b101, 0b010, 1)
 
 
 class TestAtMost:

@@ -182,6 +182,17 @@ class TestValidateCorrupted:
             assert not any(v.startswith("edge coverage") for v in report[len(head) + len(want):])
         assert edge_reports > 0
 
+    def test_edges_read_from_rows(self, monkeypatch):
+        # validate reports the same edges in the same order without
+        # listing the graph's edges
+        g = cycle(6)
+        d = decomp([-1, 0, 1], [mask_of([0, 1, 2]), mask_of([2, 3]), mask_of([4, 5])],
+                   [[mask_of([0, 1]), mask_of([2])], [mask_of([2, 3])], [mask_of([4, 5])]])
+        want = scan_edge_reports(g, d)
+        monkeypatch.setattr(Graph, "edges", lambda self: pytest.fail("validate listed the edges"))
+        assert validate(g, d).violations == want == [
+            "edge coverage: edge (0,5) in no bag", "edge coverage: edge (3,4) in no bag"]
+
 
 def random_decomposition(rng, g: Graph) -> AugmentedTreeDecomposition:
     """A tree on up to seven nodes, numbered in random order from the root
@@ -330,6 +341,22 @@ class TestSolvePerComponent:
         assert k == 1 and d.num_nodes == 1999
         assert d.bags[:5] == (1 << 0, 1 << 1, 1 << 2, (1 << 3) | (1 << 7), 1 << 4)
         assert d.parents[:3] == (-1, 0, 0) and validate(g, d).ok
+
+    def test_connected_graph_is_solved_as_it_is(self, monkeypatch):
+        def refuse(self, s):
+            raise AssertionError("a connected graph was relabelled")
+
+        monkeypatch.setattr(Graph, "induced_subgraph", refuse)
+        for g in (cycle(5), generators.gen_random(random.Random(157), 9, 0.4, connected=True)):
+            seen = []
+
+            def solve(h):
+                seen.append(h)
+                return solver_pmc._tcl_connected(h)
+
+            k, d = decomposition.solve_per_component(g, solve)
+            assert seen and all(h is g for h in seen)
+            assert (k, d) == solver_pmc.compute_tcl(g)
 
 
 class TestSanitize:

@@ -14,7 +14,7 @@ from tclq.graph import (
     maximal_cliques_within,
 )
 from tclq.generators import gen_random
-from tclq.oracle import OracleBudget, brute_pmcs
+from tclq.oracle import OracleBudget, brute_minimal_separators, brute_pmcs
 
 from corpus import all_graphs, connected_graphs, graphs_up_to
 from helpers import (complete, count_calls, cycle, pairwise_is_pmc, path, reference_components,
@@ -264,6 +264,27 @@ class TestMinimalSeparators:
         rng = random.Random(17)
         for g in rng.sample(graphs_8, 300):
             assert enumerate_minimal_separators(g) == brute_min_seps(g)
+
+    def test_sweeps_each_set_once(self, monkeypatch):
+        real = Graph.component_neighborhoods
+        swept = []
+
+        def recording(self, s):
+            swept.append(s)
+            return real(self, s)
+
+        monkeypatch.setattr(Graph, "component_neighborhoods", recording)
+        listed = 0
+        for g in graphs_up_to(7):
+            swept.clear()
+            seps = enumerate_minimal_separators(g)
+            # is_connected sweeps all of V, which the listing never does
+            listing = [s for s in swept if s != g.full]
+            assert seps == brute_minimal_separators(g), g
+            if g.n and g.is_connected():
+                assert len(listing) == len(set(listing)), g
+                listed += len(listing)
+        assert listed
 
     def test_disconnected_has_empty_separator(self):
         g = Graph.from_edges(4, [(0, 1), (2, 3)])

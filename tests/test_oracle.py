@@ -17,7 +17,7 @@ from tclq.oracle import (
     tcl_oracle,
 )
 
-from corpus import connected_graphs, graphs_up_to
+from corpus import connected_graphs
 from helpers import complete, complete_bipartite, cycle, path, star
 
 

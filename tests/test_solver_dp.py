@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import sys
 
 import pytest
 
@@ -159,6 +160,46 @@ class TestComputeTcl:
     def test_capacity(self):
         with pytest.raises(CapacityError):
             compute_tcl(path(65))
+
+
+class TestSharedWork:
+    """Each piece of a solve's work is done once: hubs come from masks,
+    sweeps are shared by the rounds, and the reduction rule reads N(c)
+    from the root sweep."""
+
+    def test_each_set_swept_once_across_rounds(self, monkeypatch):
+        real = Graph.component_neighborhoods
+        swept = []
+
+        def recording(self, s):
+            if sys._getframe(1).f_globals["__name__"] == solver_dp.__name__:
+                swept.append(s)
+            return real(self, s)
+
+        monkeypatch.setattr(Graph, "component_neighborhoods", recording)
+        rounds = count_calls(monkeypatch, decide_tcl_at_most_k)
+        g = gen_random(random.Random("dp-shared-sweeps:12"), 12, 0.4, connected=True)
+        k, d = compute_tcl(g)
+        assert_good_witness(g, d, expected_width=k)
+        assert len(rounds) >= 2 and swept
+        assert len(swept) == len(set(swept))
+
+    def test_no_neighbourhood_queries(self, monkeypatch):
+        def refuse(self, s):
+            raise AssertionError("the DP asked Graph.neighbors")
+
+        monkeypatch.setattr(Graph, "neighbors", refuse)
+        # the reduction rule fires on this graph at k = 1, as
+        # test_reduction_entry_keeps_its_separator shows
+        g = Graph.from_edges(7, [(0, 3), (0, 5), (0, 6), (1, 4), (1, 6), (2, 5), (2, 6),
+                                 (3, 6), (4, 6)])
+        graphs = [g] + [gen_random(random.Random(f"dp-no-neighbors:{p}"), 11, p, connected=True)
+                        for p in (0.3, 0.5, 0.7)]
+        for h in graphs:
+            for k in (1, 2, 3):
+                decide_tcl_at_most_k(h, k, CoverOracle(h))
+        for h in graphs:
+            compute_tcl(h)
 
 
 class TestCoreBound:
