@@ -40,16 +40,13 @@ class Cotree:
     leaf and a (left, right) pair otherwise.  label[t] is UNION/PRODUCT
     for internal nodes and None for leaves.  leaf_vertex[t] is the
     vertex id at leaf t (leaves are numbered by first appearance in the
-    expression, left to right).  source[t] is the index of the k-ary
-    node in the parsed expression that node t realizes, or None for the
-    intermediate nodes a binarization chain introduces.
+    expression, left to right).
     """
 
     kids: Tuple[Tuple[int, ...], ...]
     label: Tuple[Optional[int], ...]
     leaf_vertex: Tuple[Optional[int], ...]
     leaf_names: Tuple[str, ...]
-    source: Tuple[Optional[int], ...]
 
     @property
     def num_nodes(self) -> int:
@@ -149,24 +146,21 @@ def parse_and_binarize(text: str) -> Cotree:
     """Parse a cotree expression and fold k-ary nodes left-deep.
 
     A node (lab c1 c2 ... ck) with k > 2 becomes (lab (... (lab c1 c2)
-    ...) ck); the topmost chain node keeps the original node's identity
-    in ``source``, the synthesized ones carry None.  Nodes are numbered
-    in preorder of the binary tree, so the root is node 0 and a k-ary
-    node's chain comes topmost first.  Iterative, like the parser.
+    ...) ck).  Nodes are numbered in preorder of the binary tree, so the
+    root is node 0 and a k-ary node's chain comes topmost first.
+    Iterative, like the parser.
     """
     ast = _read(text)[0]
     kids: List = []
     label: List[Optional[int]] = []
     leaf_vertex: List[Optional[int]] = []
-    source: List[Optional[int]] = []
     leaf_names: List[str] = []
     # Entries are (expression, kids pair of the parent, side).  An
     # expression is a leaf name, a parsed (label, children) node, or a
     # chain node (label, children, m) standing for the fold of the first
-    # m children.  A node is numbered when it pops, in preorder, and
-    # only parsed nodes and leaves take a source index.
+    # m children; a parsed node is the chain over all of its children.
+    # A node is numbered when it pops, in preorder.
     stack = [(ast, None, 0)]
-    src = 0
     while stack:
         node, slot, side = stack.pop()
         if slot is not None:
@@ -175,18 +169,9 @@ def parse_and_binarize(text: str) -> Cotree:
             kids.append(())
             label.append(None)
             leaf_vertex.append(len(leaf_names))
-            source.append(src)
             leaf_names.append(node)
-            src += 1
             continue
-        if len(node) == 2:
-            lab, children = node
-            m = len(children)
-            source.append(src)
-            src += 1
-        else:
-            lab, children, m = node
-            source.append(None)
+        lab, children, m = node if len(node) == 3 else (*node, len(node[1]))
         pair = [-1, -1]
         kids.append(pair)
         label.append(lab)
@@ -194,7 +179,7 @@ def parse_and_binarize(text: str) -> Cotree:
         stack.append((children[m - 1], pair, 1))
         stack.append((children[0] if m == 2 else (lab, children, m - 1), pair, 0))
     return Cotree(tuple(map(tuple, kids)), tuple(label), tuple(leaf_vertex),
-                  tuple(leaf_names), tuple(source))
+                  tuple(leaf_names))
 
 
 def _postorder(tree: Cotree) -> List[int]:

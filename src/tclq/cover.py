@@ -20,9 +20,10 @@ would be positive.  Every other trial, each merge among them, is still
 counted, so no decision changes.  These operations refuse a graph above
 TABLE_MAX_N vertices before allocating anything.  The CoverOracle is the
 sparse counterpart for the solvers: it solves only the sets a caller
-asks for, one at a time, by backtracking, and memoizes them.  Both cover
-sources also answer at_most(s, k), vcc(G[s]) <= k; the oracle does so
-from a greedy independent-set lower bound and at most one search at k.
+asks for, one at a time, by backtracking, and keeps one record per set:
+a lower bound and the last partition found, exact once they agree.  Both
+cover sources also answer at_most(s, k), vcc(G[s]) <= k; the oracle
+does so from that record and at most one search at k.
 Every search, a threshold query's and each step of an exact vcc, goes
 through one entry, _partition_within(adj, s, k).  It reads nothing but
 the graph, s and k, so the exact solve may start at any lower bound and
@@ -177,57 +178,52 @@ def _independent_lower_bound(adj: List[int], s: int) -> int:
 class CoverOracle:
     """vcc and a minimum clique partition of single sets, on request.
 
-    Each set is solved once by vcc and memoized, so the caller pays for
-    the sets it reads and never for a table over all 2^n subsets.
-    at_most(s, k) decides vcc(s) <= k without the exact value: from the
-    memo, else from an interval [lo, hi] kept per set, which starts at
-    [greedy independent set, |s|] and narrows with each search at a
-    single k.  An exact solve deepens from the set's lo; vcc gives the
-    same partition from any start up to the answer.
+    known[s] = [lo, classes]: lo starts at a greedy independent set and
+    rises past each failed search at one k; classes is the partition of
+    the last successful search, or None.  A search's first partition at
+    k, of c classes, is its first at every k' in [c, k] too: the branches
+    before it, minus those opening over k' classes, failed at k.  So the
+    record is exact, and classes is vcc's partition, once |classes| = lo.
     """
 
-    __slots__ = ("g", "memo", "bounds")
+    __slots__ = ("g", "known")
 
     def __init__(self, g: Graph):
         self.g = g
-        self.memo: Dict[int, Tuple[int, Tuple[int, ...]]] = {}
-        self.bounds: Dict[int, List[int]] = {}
+        self.known: Dict[int, list] = {}
 
-    def _solve(self, s: int) -> Tuple[int, Tuple[int, ...]]:
-        hit = self.memo.get(s)
-        if hit is None:
-            known = self.bounds.pop(s, None)
-            lo = known[0] if known else _independent_lower_bound(self.g.adj, s)
-            k, classes = vcc(self.g, s, lo)
-            hit = self.memo[s] = (k, tuple(classes))
-        return hit
+    def _record(self, s: int) -> list:
+        rec = self.known.get(s)
+        if rec is None:
+            rec = self.known[s] = [_independent_lower_bound(self.g.adj, s), None]
+        return rec
 
     def value(self, s: int) -> int:
-        return self._solve(s)[0]
+        return len(self.partition(s))
 
     def at_most(self, s: int, k: int) -> bool:
         """vcc(s) <= k, with at most one search, at k."""
-        hit = self.memo.get(s)
-        if hit is not None:
-            return hit[0] <= k
-        known = self.bounds.get(s)
-        if known is None:
-            known = self.bounds[s] = [_independent_lower_bound(self.g.adj, s), s.bit_count()]
-        lo, hi = known
+        rec = self._record(s)
+        lo, classes = rec
         if k < lo:
             return False
-        if k >= hi:
+        if k >= (s.bit_count() if classes is None else len(classes)):
             return True
-        classes = _partition_within(self.g.adj, s, k)
-        if classes is None:
-            known[0] = k + 1
+        found = _partition_within(self.g.adj, s, k)
+        if found is None:
+            rec[0] = k + 1
             return False
-        known[1] = len(classes)
+        rec[1] = tuple(found)
         return True
 
     def partition(self, s: int) -> Tuple[int, ...]:
-        """Disjoint cliques covering s, exactly value(s) of them."""
-        return self._solve(s)[1]
+        """Disjoint cliques covering s, exactly vcc(s) of them."""
+        rec = self._record(s)
+        lo, classes = rec
+        if classes is None or len(classes) > lo:
+            rec[0], found = vcc(self.g, s, lo)
+            classes = rec[1] = tuple(found)
+        return classes
 
 
 # Anything with value(s), at_most(s, k) and partition(s) over the same graph.

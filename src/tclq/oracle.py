@@ -36,10 +36,8 @@ def _chromatic_of_masks(adj: List[int], n: int) -> int:
     order = sorted(range(n), key=lambda v: (-adj[v].bit_count(), v))
     # earlier[i] = neighbors of order[i] among order[:i]
     earlier: List[List[int]] = []
-    placed = 0
     for v in order:
         earlier.append([i for i in range(len(earlier)) if adj[v] >> order[i] & 1])
-        placed |= 1 << v
     colors = [0] * n
 
     def feasible(k: int) -> bool:

@@ -5,8 +5,9 @@ component of G - S with N(C) = S.  Blocks are processed by increasing
 part size.  A block's value is the minimum over potential maximal
 cliques Omega with S proper-subset Omega subseteq S union C of
 max(vcc(Omega), values of the sub-blocks (N(D), D) for the components D
-of the part minus Omega); a block admitting no such Omega is an
-inclusion-minimal block and costs vcc of its whole part (one bag).
+of the part minus Omega).  Every full block admits one: the maximal
+clique containing S of a minimal triangulation of the realization
+R(S, C), as S is no PMC of R(S, C), where C is a full component.
 
 All vcc values are measured in G itself.  Completing S into a clique
 never changes the recurrence: every admissible Omega contains S, so the
@@ -16,7 +17,11 @@ the filled graph would undercount the real covers.
 The graph's value minimizes over inclusion-minimal separators S: the
 root bag S costs vcc(S), each full component contributes its block
 value, and each non-full component C contributes the value of the full
-block (N(C), C).
+block (N(C), C).  A minimal separator S of connected G is
+inclusion-minimal exactly when every component of G - S is full, so one
+sweep decides it: a component C with N(C) proper-subset S is one full
+component of N(C), and a full component of S lies with S - N(C) in
+another; when all are full, a vertex of S - T joins them all.
 
 A block's admissible Omega come from an index, not from a scan of all
 PMCs.  The minimal separators inside a PMC Omega are exactly the sets
@@ -27,7 +32,8 @@ if S proper-subset Omega subseteq S union C, another full component of
 S avoids Omega and is a component D of G - Omega with N(D) = S.  Each
 block's list keeps catalog order, so ties go to the same Omega.  With
 each Omega the index keeps the block's sub-blocks, the components of
-G - Omega that see beyond S, so the DP sweeps no part again.
+G - Omega that see beyond S, so the DP sweeps no part again.  Every
+full block has an Omega, so these sweeps alone list the blocks.
 
 Covers are asked lazily.  An Omega's floor is the largest value of its
 sub-blocks.  It is skipped when the floor, or a single search showing
@@ -35,13 +41,14 @@ vcc(Omega) >= best, rules out beating the best so far; otherwise it
 costs the floor when vcc(Omega) <= floor, and vcc(Omega) only above it.
 The graph itself is the last block, (empty set, V), whose options are
 the inclusion-minimal separators with all components of G - S.  A
-complete or empty graph has none, so its value is vcc(V), one bag.
+complete or empty graph has none, so its value is vcc(V), one bag: the
+only block with no option.
 
 Above DENSE_MAX_N vertices, nothing here is indexed by all 2^n
 subsets.  The PMCs and the minimal separators come from one listing,
 graph.enumerate_pmcs, which builds the PMCs from the minimal
 separators, and every vcc test and bag partition comes from one
-memoized CoverOracle, which solves only the sets the recurrence reads.
+CoverOracle, which solves only the sets the recurrence reads.
 Up to DENSE_MAX_N vertices the catalog comes from a Lawler table and an
 is_pmc sweep over all subsets.
 """
@@ -84,24 +91,19 @@ def build_catalog(g: Graph) -> Tuple[PmcCatalog, Cover]:
     else:
         cover = CoverOracle(g)
         pmcs, seps = enumerate_pmcs(g)
-    sep_set = set(seps)
-    incl_min = [s for s in seps if not any(t != s and t & ~s == 0 for t in sep_set)]
+    incl_min = [s for s in seps
+                if all(nc == s for _, nc in g.component_neighborhoods(g.full & ~s))]
     return PmcCatalog(pmcs, seps, incl_min, cover), cover
 
 
 def block_index(g: Graph, catalog: PmcCatalog) -> Dict[Tuple[int, int], list]:
     """The full blocks (S, C) by part size, each with its admissible
-    PMCs in catalog order (the index in the module docstring).  With
+    PMCs in catalog order (the index in the module docstring), read off
+    the sweeps of G - Omega for the PMCs Omega alone.  With
     each PMC Omega come the sub-blocks (N(D), D) for the components D of
     the part minus Omega: the components of G - Omega that see beyond S,
     in the order of the sweep."""
-    blocks: List[Tuple[int, int]] = []
-    for s in catalog.separators:
-        for c, nc in g.component_neighborhoods(g.full & ~s):
-            if nc == s:
-                blocks.append((s, c))
-    blocks.sort(key=lambda b: ((b[0] | b[1]).bit_count(), b[0] | b[1], b[0]))
-    served: Dict[Tuple[int, int], list] = {blk: [] for blk in blocks}
+    served: Dict[Tuple[int, int], list] = {}
     for omega in catalog.pmcs:
         pairs = g.component_neighborhoods(g.full & ~omega)
         for _, sep in pairs:
@@ -113,10 +115,11 @@ def block_index(g: Graph, catalog: PmcCatalog) -> Dict[Tuple[int, int], list]:
                     subs.append((nd, d))
                 else:
                     comp &= ~d
-            entries = served[(sep, comp)]
+            entries = served.setdefault((sep, comp), [])
             if not entries or entries[-1][0] != omega:
                 entries.append((omega, subs))
-    return served
+    order = sorted(served, key=lambda b: ((b[0] | b[1]).bit_count(), b[0] | b[1], b[0]))
+    return {blk: served[blk] for blk in order}
 
 
 def tcl_via_pmc(g: Graph, catalog: PmcCatalog) -> Tuple[int, AugmentedTreeDecomposition]:
@@ -148,7 +151,7 @@ def tcl_via_pmc(g: Graph, catalog: PmcCatalog) -> Tuple[int, AugmentedTreeDecomp
             best = floor if cover.at_most(omega, floor) else cover.value(omega)
             pick[blk] = omega, subs
         if best is None:
-            # inclusion-minimal block: single realization bag
+            # a root with no separator, a complete graph: one bag
             best = cover.value(part)
             pick[blk] = part, []
         val[blk] = best

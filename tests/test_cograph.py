@@ -57,34 +57,30 @@ def _recursive_parse(text):
     ast, pos = expr(0)
     if pos != len(tokens):
         raise CotreeParseError(f"trailing input after expression: {tokens[pos]!r}")
-    kids, label, leaf_vertex, source, names = [], [], [], [], []
-    counter = [0]
+    kids, label, leaf_vertex, names = [], [], [], []
 
-    def new_node(lab, lv, src):
+    def new_node(lab, lv):
         kids.append(())
         label.append(lab)
         leaf_vertex.append(lv)
-        source.append(src)
         return len(kids) - 1
 
-    def fold(lab, children, src):
-        t = new_node(lab, None, src)
-        left = build(children[0]) if len(children) == 2 else fold(lab, children[:-1], None)
+    def fold(lab, children):
+        t = new_node(lab, None)
+        left = build(children[0]) if len(children) == 2 else fold(lab, children[:-1])
         kids[t] = (left, build(children[-1]))
         return t
 
     def build(node):
-        src = counter[0]
-        counter[0] += 1
         if node[0] == "leaf":
             if node[1] in names:
                 raise CotreeParseError(f"duplicate leaf {node[1]!r}")
             names.append(node[1])
-            return new_node(None, len(names) - 1, src)
-        return fold(node[0], node[1], src)
+            return new_node(None, len(names) - 1)
+        return fold(node[0], node[1])
 
     build(ast)
-    return Cotree(tuple(kids), tuple(label), tuple(leaf_vertex), tuple(names), tuple(source))
+    return Cotree(tuple(kids), tuple(label), tuple(leaf_vertex), tuple(names))
 
 
 def _parse_outcome(parse, text):
@@ -143,10 +139,9 @@ class TestParse:
         t = parse_and_binarize("(0 a b c d)")
         t.check_binary()
         assert t.num_nodes == 7
-        # one original internal node keeps its source id, the chain
-        # nodes introduced by binarization carry none
+        # (0 (0 (0 a b) c) d) in preorder: the chain topmost first
+        assert t.kids == ((1, 6), (2, 5), (3, 4), (), (), (), ())
         internal = [i for i in range(t.num_nodes) if t.kids[i]]
-        assert sorted(t.source[i] is not None for i in internal) == [False, False, True]
         assert all(t.label[i] == UNION for i in internal)
 
     def test_malformed(self):
@@ -299,7 +294,6 @@ class TestTcl:
             label=(UNION, None, None, None),
             leaf_vertex=(None, 0, 1, 2),
             leaf_names=("a", "b", "c"),
-            source=(0, 1, 2, 3),
         )
         with pytest.raises(ValueError, match="not binary"):
             compute_tcl(bad)

@@ -124,7 +124,7 @@ class TestPartitionReconstruction:
             for s in [g.full, rng.randrange(1 << g.n), g.full]:
                 assert oracle.value(s) == t.values[s]
                 self.check_partition(g, s, oracle.partition(s), t.values[s])
-            assert len(oracle.memo) <= 2
+            assert len(oracle.known) <= 2
 
 
 class TestLawlerCover:
@@ -637,6 +637,31 @@ class TestAtMost:
         for g in self.graphs(graphs_to_6):
             self.check(g, lawler_table(g), exact_first, rng)
 
+    def test_first_partition_is_first_at_its_own_size(self, graphs_to_6):
+        # what lets the oracle keep a threshold search's partition: the
+        # first partition at k, of c classes, is also the first at c
+        rng = random.Random(139)
+        graphs = list(graphs_to_6) + [gen_random(rng, n, p)
+                                      for n in range(8, 12) for p in (0.3, 0.6)]
+        for g in graphs:
+            for s in range(1 << g.n):
+                for k in range(s.bit_count() + 1):
+                    c = cover._partition_within(g.adj, s, k)
+                    if c is not None:
+                        assert cover._partition_within(g.adj, s, len(c)) == c, (g, s, k)
+
+    def test_exact_after_one_query(self, graphs_to_6):
+        # a partition kept from a search above vcc is not taken as exact
+        rng = random.Random(149)
+        for g in self.graphs(graphs_to_6):
+            for k in range(g.n + 1):
+                oracle = CoverOracle(g)
+                for s in rng.sample(range(1 << g.n), min(64, 1 << g.n)):
+                    want, classes = vcc(g, s)
+                    assert oracle.at_most(s, k) == (want <= k)
+                    assert list(oracle.partition(s)) == classes, (g, s, k)
+                    assert oracle.value(s) == want
+
     def test_one_search_per_query(self, monkeypatch):
         # a threshold query searches at k alone, and only inside [lo, hi)
         searched = []
@@ -653,7 +678,8 @@ class TestAtMost:
             [False, False, True, False, False, True]
         # lo = 3 from {0, 2, 4}: k = 2 needs no search, k = 3 and 4 one each
         assert searched == [3, 4]
-        assert oracle.value(g.full) == 4 and searched == [3, 4, 4]
+        # the k = 4 partition has lo = 4 classes, so value reuses it
+        assert oracle.value(g.full) == 4 and searched == [3, 4]
 
     def test_start_at_any_lower_bound(self, graphs_to_6):
         rng = random.Random(137)

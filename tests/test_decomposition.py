@@ -428,7 +428,10 @@ class TestSanitize:
             messy = perturb(rng, g, compute_tcl(g)[1])
             oracle = CoverOracle(g)
             out = sanitize(g, messy, oracle)
-            assert set(out.bags) <= set(oracle.memo)
+            # each bag has an exact record: as many classes as its bound
+            for b in out.bags:
+                lo, classes = oracle.known[b]
+                assert classes is not None and len(classes) == lo
             assert out == sanitize(g, messy)
             table = lawler_table(g)
             from_table = sanitize(g, messy, table)

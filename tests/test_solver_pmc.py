@@ -53,7 +53,10 @@ class TestBuildCatalog:
             assert catalog.pmcs == [s for s in range(1, 1 << g.n) if is_pmc(g, s)]
 
     def test_inclusion_minimal_is_minimal(self, connected_to_6):
-        for g in connected_to_6:
+        rng = random.Random("pmc-inclusion-minimal")
+        seeded = [gen_random(rng, n, p, connected=True)
+                  for n in range(8, 17) for p in (0.15, 0.3, 0.5)]
+        for g in list(connected_to_6) + seeded:
             catalog, _ = build_catalog(g)
             sep_set = set(catalog.separators)
             for s in catalog.separators:
@@ -95,7 +98,8 @@ class TestBlockIndex:
 
     def test_blocks_by_part_size(self):
         g = gen_random(random.Random("pmc-block-index:order"), 12, 0.3, connected=True)
-        keys = [(s | c).bit_count() for s, c in block_index(g, build_catalog(g)[0])]
+        # by part size, then part, then S
+        keys = [((s | c).bit_count(), s | c, s) for s, c in block_index(g, build_catalog(g)[0])]
         assert keys == sorted(keys)
 
 
