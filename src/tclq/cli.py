@@ -7,6 +7,7 @@ or budget exceeded.
 
 import argparse
 import functools
+import random
 import sys
 from typing import Optional
 
@@ -16,7 +17,7 @@ from .cover import CapacityError, check_table_size, ie_chromatic_with_constructi
 # unused here; bench/tests/test_bench.py asserts the tracer patches this binding
 from .cover import lawler_table  # noqa: F401
 from .decomposition import validate, width
-from .oracle import BudgetExceededError, OracleBudget, tcl_oracle
+from .oracle import BudgetExceededError, tcl_oracle
 
 
 class UsageError(ValueError):
@@ -33,6 +34,11 @@ def check_input_size(n: int) -> None:
     """Refuse a declared n above INPUT_MAX_N before the graph is built."""
     if n > INPUT_MAX_N:
         raise CapacityError(f"n={n} exceeds the input limit of {INPUT_MAX_N} vertices")
+
+
+# Largest permutation solve --perm takes.  Its DP table has (n+1)^2
+# entries: n = 4096 holds about 134 MB of them.
+PERM_MAX_N = 4096
 
 
 def _read(path: str) -> str:
@@ -66,6 +72,8 @@ def _solve(args) -> int:
         if args.algo != "auto":
             raise UsageError("--algo applies to --input graphs only")
         pi = io.parse_permutation(_read(args.perm))
+        if len(pi) > PERM_MAX_N:
+            raise CapacityError(f"n={len(pi)} exceeds the permutation limit of {PERM_MAX_N} lines")
         k, witness = permutation.solve(pi)
         return _report(args, k, witness, len(pi))
 
@@ -74,7 +82,7 @@ def _solve(args) -> int:
     if algo == "oracle":
         if args.out is not None:
             raise UsageError("the oracle emits values, not decompositions")
-        k = tcl_oracle(g, OracleBudget(max_n=max(10, g.n)))
+        k = tcl_oracle(g)  # refuses n above its default cap
         witness = None
     elif algo == "dp":
         k, witness = solver_dp.compute_tcl(g)
@@ -138,22 +146,25 @@ def _verify(args) -> int:
 
 
 def _gen(args) -> int:
-    params = {"n": args.n, "count": 1}
-    if args.k is not None:
-        params["k"] = args.k
-    if args.p is not None:
-        params["p"] = args.p
-    if args.apexes is not None:
-        params["apexes"] = args.apexes
-    if args.connected:
-        params["connected"] = True
-    inst = generators.gen_corpora(args.seed, args.family, **params)[0]
+    # the permutation and cograph families are drawn from the stream
+    # gen_corpora uses, without the graph it pairs them with
+    rng = random.Random(args.seed)
     if args.family == "cograph":
-        _write(args.out, inst[0] + "\n")
+        text = generators.gen_cotree_text(rng, args.n) + "\n"
     elif args.family == "permutation":
-        _write(args.out, io.serialize_permutation(inst[0]))
+        text = io.serialize_permutation(generators.gen_permutation(rng, args.n))
     else:
-        _write(args.out, io.serialize_graph(inst))
+        params = {"n": args.n, "count": 1}
+        if args.k is not None:
+            params["k"] = args.k
+        if args.p is not None:
+            params["p"] = args.p
+        if args.apexes is not None:
+            params["apexes"] = args.apexes
+        if args.connected:
+            params["connected"] = True
+        text = io.serialize_graph(generators.gen_corpora(args.seed, args.family, **params)[0])
+    _write(args.out, text)
     return 0
 
 

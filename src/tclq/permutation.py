@@ -8,18 +8,23 @@ holds the lines with one endpoint on each side of it.  The method follows
 Bodlaender, Kloks and Kratsch ("Treewidth and pathwidth of permutation
 graphs", SIAM J. Discrete Math. 1995), with clique covers for bag sizes.
 
-A unit step moves one gap index up by one; its candidate component is
-the union of its two ends' crossing sets.  The candidate components
-along a monotone unit-step path from (0,0) to (n,n) form a path
-decomposition: a line is in the bags from the step passing its first
-endpoint to the step passing its second, a nonempty run, and if the runs
-of lines u and v were disjoint, a scanline between them would have u
-wholly on its left and v wholly on its right, so u and v would not cross.
-So tcl(G[pi]) is the bottleneck value over such paths of the steps'
-clique cover numbers, floored at 1 (0 for the empty permutation).  Paths
-that jump a gap index by more need no search: each unit step of a jump
-has a candidate component inside the jump's, and the clique cover number
-is monotone under subsets.
+A unit step moves one gap index up by one, past one line, so its two
+ends' crossing sets differ in that line alone; its candidate component
+is the larger of them.  The candidate components along a monotone
+unit-step path from (0,0) to (n,n) form a path decomposition: a line is
+in the bags from the step passing its first endpoint to the step passing
+its second, a nonempty run, and if the runs of lines u and v were
+disjoint, a scanline between them would have u wholly on its left and v
+wholly on its right, so u and v would not cross.  So tcl(G[pi]) is the
+bottleneck value over such paths of the steps' clique cover numbers.
+Paths that jump a gap index by more need no search: each unit step of a
+jump has a candidate component inside the jump's, and the clique cover
+number is monotone under subsets.
+
+A crossing set is the join of its sides L (top <= t, bottom > b) and R
+(top > t, bottom <= b): every line of L crosses every line of R.  As
+permutation graphs are perfect (Golumbic 1980), a side's cover is its
+longest chain of non-crossing lines, and the set's is the larger one.
 
 The witness is the bottleneck DP's own path.  A bag contained in a
 neighbouring bag is dropped: its vertices all lie in that neighbour, so
@@ -29,7 +34,7 @@ the width does not grow.
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 from .decomposition import AugmentedTreeDecomposition, validate
 from .graph import Graph
@@ -112,102 +117,84 @@ def cover_of_line_set(d: PermutationDiagram, lines: int) -> int:
     return len(_cover_piles(d, lines))
 
 
-class ScanlineGrid:
-    """The scanlines of one diagram, their crossing sets and a pile memo.
+def _bottleneck(d: PermutationDiagram) -> List[List[int]]:
+    """best[t][b] = max(cover(t, b), min(best[t-1][b], best[t][b-1])), the
+    least largest step cover over the unit-step paths from (0, 0) to (t, b).
 
-    ``cross[t][b]`` is the crossing set of scanline (t, b).  Moving the
-    top gap from t-1 to t toggles line t, and moving the bottom gap from
-    b-1 to b toggles the line at bottom position b, so the grid is filled
-    by XOR from cross[0][0] = 0.
+    Row t sweeps the bottom positions twice, patience sorting each side's
+    tops into piles, whose count is the side's cover: down from b = n, L
+    gains the line at bottom b+1 if its top is at most t; up from b = 0, R
+    gains the line at bottom b if its top is above t.
     """
+    n, pi = d.n, d.pi
+    best: List[List[int]] = []
+    above = [0] + [n + 1] * n  # before row 0 only (0, 0) is reached, at 0
+    for t in range(n + 1):
+        row = [0] * (n + 1)
+        lasts: List[int] = []  # L's piles: negated tops, by falling bottom
+        for b in range(n, -1, -1):
+            if b < n and pi[b] <= t:
+                i = bisect_right(lasts, -pi[b])
+                lasts[i:i + 1] = [-pi[b]]  # replace that pile's last, or open a pile
+            row[b] = len(lasts)
+        lasts = []  # R's piles: tops, by rising bottom
+        left = n + 1  # nothing steps into b = 0 from the left
+        for b in range(n + 1):
+            if b and pi[b - 1] > t:
+                i = bisect_right(lasts, pi[b - 1])
+                lasts[i:i + 1] = [pi[b - 1]]
+            left = row[b] = max(row[b], len(lasts), min(above[b], left))
+        best.append(row)
+        above = row
+    return best
 
-    def __init__(self, d: PermutationDiagram):
-        self.d = d
-        self.top_line = [1 << v for v in range(d.n)]  # top_line[t] = line t+1
-        self.bottom_line = [1 << (value - 1) for value in d.pi]  # line at bottom b+1
-        first = [0]
-        for bit in self.bottom_line:
-            first.append(first[-1] ^ bit)
-        cross = [first]
-        for bit in self.top_line:
-            cross.append([m ^ bit for m in cross[-1]])
-        self.cross = cross
-        self._piles: Dict[int, List[int]] = {}
-        self.best: Optional[List[List[int]]] = None  # filled by tcl()
 
-    def piles(self, lines: int) -> List[int]:
-        """The pile partition of a line set, computed once per set."""
-        p = self._piles.get(lines)
-        if p is None:
-            p = self._piles[lines] = _cover_piles(self.d, lines)
-        return p
+def _witness(d: PermutationDiagram, best: List[List[int]]) -> AugmentedTreeDecomposition:
+    """The path decomposition along the path of ``best``.  Walking back
+    from (n, n), the top step is taken whenever best[t-1][b] <= best[t][b]
+    (it attains best[t][b]), and no kept bag is contained in a neighbour.
+    A step's bag is the larger of its two ends' crossing sets, and its
+    covers are the pile partition.
+    """
+    below = [0]  # below[b]: the lines with bottom position at most b
+    for value in d.pi:
+        below.append(below[-1] | 1 << (value - 1))
 
-    def tcl(self) -> int:
-        """Min over monotone (0,0) -> (n,n) unit-step paths of the largest
-        step cover, floored at 1 (0 when n = 0).
+    def cross(t: int, b: int) -> int:
+        return ((1 << t) - 1) ^ below[b]
 
-        best[t][b] is the unfloored value for paths ending at (t, b),
-        filled in grid order from the two unit-step predecessors and kept
-        in ``self.best`` for ``witness``.  The bottom step replaces the
-        top step only when it is strictly better.
-        """
-        n = self.d.n
-        if n == 0:
-            return 0
-        cross, piles = self.cross, self.piles
-        best = [[0] * (n + 1) for _ in range(n + 1)]
-        for t in range(n + 1):
-            row = best[t]
-            for b in range(n + 1):
-                if t == 0 and b == 0:
-                    continue
-                cur = n + 1
-                if t:
-                    cur = max(best[t - 1][b], len(piles(cross[t][b] | self.top_line[t - 1])))
-                if b and row[b - 1] < cur:
-                    cur = min(cur, max(row[b - 1],
-                                       len(piles(cross[t][b] | self.bottom_line[b - 1]))))
-                row[b] = cur
-        self.best = best
-        return max(1, best[n][n])
-
-    def witness(self) -> AugmentedTreeDecomposition:
-        """The path decomposition of width tcl along the path of ``tcl()``,
-        which must run first.  Walking back from (n, n), the top step is
-        taken whenever it attains best[t][b], as in the DP, and no kept
-        bag is contained in a neighbour.  Covers are the pile partitions.
-        """
-        best, cross, piles = self.best, self.cross, self.piles
-        kept: List[int] = []
-        t = b = self.d.n
-        while t or b:
-            bag = cross[t][b] | self.top_line[t - 1] if t else 0
-            if t and max(best[t - 1][b], len(piles(bag))) == best[t][b]:
-                t -= 1
-            else:
-                bag = cross[t][b] | self.bottom_line[b - 1]
-                b -= 1
-            if kept and bag & ~kept[-1] == 0:
-                continue
-            while kept and kept[-1] & ~bag == 0:
-                kept.pop()
-            kept.append(bag)
-        kept = kept[::-1] or [0]  # the empty permutation has one empty bag
-        covers = tuple(tuple(sorted(piles(bag))) for bag in kept)
-        return AugmentedTreeDecomposition(tuple(range(-1, len(kept) - 1)), tuple(kept), covers)
+    kept: List[int] = []
+    t = b = d.n
+    while t or b:
+        if t and best[t - 1][b] <= best[t][b]:
+            bag = cross(t, b) | cross(t - 1, b)
+            t -= 1
+        else:
+            bag = cross(t, b) | cross(t, b - 1)
+            b -= 1
+        if kept and bag & ~kept[-1] == 0:
+            continue
+        while kept and kept[-1] & ~bag == 0:
+            kept.pop()
+        kept.append(bag)
+    kept = kept[::-1] or [0]  # the empty permutation has one empty bag
+    covers = tuple(tuple(sorted(_cover_piles(d, bag))) for bag in kept)
+    return AugmentedTreeDecomposition(tuple(range(-1, len(kept) - 1)), tuple(kept), covers)
 
 
 def compute_tcl(pi: Sequence[int]) -> int:
     """tcl(G[pi]), from the bottleneck DP alone."""
-    return ScanlineGrid(diagram(pi)).tcl()
+    return _bottleneck(diagram(pi))[-1][-1]
 
 
 def solve(pi: Sequence[int]) -> Tuple[int, AugmentedTreeDecomposition]:
-    """tcl(G[pi]) and a path decomposition of that width, from one grid,
-    validated against G[pi] as sanitize validates the solvers' witnesses."""
-    grid = ScanlineGrid(diagram(pi))
-    k, witness = grid.tcl(), grid.witness()
+    """tcl(G[pi]) and a path decomposition of that width, from one DP
+    table, validated against G[pi] as sanitize validates the solvers'
+    witnesses."""
+    d = diagram(pi)
+    best = _bottleneck(d)
+    witness = _witness(d, best)
     rep = validate(inversion_graph(pi), witness)
     if not rep.ok:
         raise RuntimeError(f"scanline witness is not a decomposition: {rep}")
-    return k, witness
+    return best[-1][-1], witness

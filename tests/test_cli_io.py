@@ -8,7 +8,7 @@ import tracemalloc
 
 import pytest
 
-from tclq import cli, io, solver_dp, solver_pmc
+from tclq import cli, io, permutation, solver_dp, solver_pmc
 from tclq.bitset import bits, mask_of
 from tclq.cli import main
 from tclq.cograph import cotree_to_graph, parse_and_binarize
@@ -37,7 +37,7 @@ from tclq.solver_dp import compute_tcl as dp_tcl
 
 from corpus import connected_graphs
 from helpers import (complete, count_calls, cycle, forbid, forbid_subset_tables,
-                     is_p4_free)
+                     is_p4_free, path)
 
 C4_COL = "c a four-cycle\np edge 4 4\ne 1 2\ne 2 3\ne 3 4\ne 4 1\n"
 
@@ -308,6 +308,12 @@ class TestCliSolve:
                      "--out", str(tmp_path / "x.tcd")])
         assert code == 2
 
+    def test_oracle_refuses_above_its_cap(self, tmp_path, capsys):
+        g = tmp_path / "p11.col"
+        g.write_text(serialize_graph(path(11)))
+        assert main(["solve", "--input", str(g), "--algo", "oracle"]) == 3
+        assert capsys.readouterr().err == "error: n=11 exceeds oracle cap 10\n"
+
     def test_parse_error_exit(self, tmp_path, capsys):
         bad = tmp_path / "bad.col"
         bad.write_text("p edge 2 5\n")
@@ -427,6 +433,23 @@ class TestCliPermutation:
         pi = tmp_path / "bad.pi"
         pi.write_text("1 1 2\n")
         assert main(["solve", "--perm", str(pi)]) == 2
+
+    def test_above_the_line_limit_exits_3(self, tmp_path, capsys, monkeypatch):
+        forbid(monkeypatch, permutation.solve, "an oversized permutation reached the solver")
+        pif = tmp_path / "big.pi"
+        pif.write_text(serialize_permutation(list(range(4097, 0, -1))))
+        assert main(["solve", "--perm", str(pif)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: n=4097 exceeds the permutation limit of 4096 lines\n"
+
+    def test_line_limit_is_inclusive(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "PERM_MAX_N", 4)
+        pif = tmp_path / "p.pi"
+        pif.write_text("4 3 2 1\n")
+        assert main(["solve", "--perm", str(pif)]) == 0
+        pif.write_text("5 4 3 2 1\n")
+        assert main(["solve", "--perm", str(pif)]) == 3
 
     def test_n40_round_trip_and_decision(self, tmp_path, capsys):
         rng = random.Random(197)
@@ -672,6 +695,23 @@ class TestCliGen:
               "--out", str(out)])
         pi = parse_permutation(out.read_text())
         assert sorted(pi) == list(range(1, 7))
+
+    @pytest.mark.parametrize("family", ["permutation", "cograph"])
+    def test_draws_what_gen_corpora_draws(self, family, tmp_path):
+        out = tmp_path / "inst"
+        for seed in range(1, 6):
+            for n in (1, 7, 40):
+                assert main(["gen", "--family", family, "--seed", str(seed), "--n", str(n),
+                             "--out", str(out)]) == 0
+                inst = gen_corpora(seed, family, n=n)[0][0]
+                want = serialize_permutation(inst) if family == "permutation" else inst + "\n"
+                assert out.read_text() == want, (seed, n)
+
+    @pytest.mark.parametrize("family", ["permutation", "cograph"])
+    def test_builds_no_graph(self, family, monkeypatch, capsys):
+        forbid(monkeypatch, inversion_graph, "gen built the inversion graph")
+        forbid(monkeypatch, cotree_to_graph, "gen built the cograph")
+        assert main(["gen", "--family", family, "--seed", "1", "--n", "40"]) == 0
 
     def test_reduction_output(self, tmp_path):
         out = tmp_path / "h.col"

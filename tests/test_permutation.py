@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -15,7 +16,6 @@ from tclq.generators import gen_permutation
 from tclq.io import serialize_decomposition
 from tclq.permutation import (
     Scanline,
-    ScanlineGrid,
     compute_tcl,
     cover_of_line_set,
     crossing_lines,
@@ -160,7 +160,7 @@ class TestComputeTcl:
 # The eager per-k scanline solver: every crossing set from its definition,
 # every k-small scanline and every arc built before a breadth-first
 # search, and k raised one step at a time.  It is the value reference for
-# the grid solver.
+# the bottleneck DP.
 
 def _reference_graph(d, k):
     nodes = [Scanline(t, b) for t in range(d.n + 1) for b in range(d.n + 1)
@@ -241,13 +241,19 @@ class TestGridSolverMatchesReference:
 
 
 class TestScanlineGrid:
-    def test_crossing_sets_match_definition(self):
+    def test_bottleneck_matches_definition(self):
+        # every entry: its own crossing set's cover, or the better of its
+        # unit-step predecessors' values if that is larger
         for pi in [[]] + _seeded_permutations(181, 20, 1, 15):
             d = diagram(pi)
-            grid = ScanlineGrid(d)
+            best = permutation._bottleneck(d)
             for t in range(d.n + 1):
                 for b in range(d.n + 1):
-                    assert grid.cross[t][b] == crossing_lines(d, Scanline(t, b))
+                    preds = [best[t - 1][b]] if t else []
+                    preds += [best[t][b - 1]] if b else []
+                    cover = cover_of_line_set(d, crossing_lines(d, Scanline(t, b)))
+                    want = max(cover, min(preds)) if preds else cover
+                    assert best[t][b] == want, (pi, t, b)
 
     def test_cover_piles_once_per_line_set(self, monkeypatch):
         calls = Counter()
@@ -268,13 +274,13 @@ class TestScanlineGrid:
         assert k == 0 and d.num_nodes == 1 and d.bags == (0,)
 
     def test_solve_rejects_a_broken_witness(self, monkeypatch):
-        witness = ScanlineGrid.witness
+        witness = permutation._witness
 
-        def drop_last_bag(grid):
-            d = witness(grid)
-            return AugmentedTreeDecomposition(d.parents[:-1], d.bags[:-1], d.covers[:-1])
+        def drop_last_bag(d, best):
+            w = witness(d, best)
+            return AugmentedTreeDecomposition(w.parents[:-1], w.bags[:-1], w.covers[:-1])
 
-        monkeypatch.setattr(ScanlineGrid, "witness", drop_last_bag)
+        monkeypatch.setattr(permutation, "_witness", drop_last_bag)
         # two crossing pairs: bags {0, 1} and {2, 3}, so the last bag holds 2 and 3 alone
         with pytest.raises(RuntimeError, match=r"vertices \[2, 3\] in no bag"):
             solve([2, 1, 4, 3])
@@ -287,3 +293,23 @@ class TestScanlineGrid:
             pi = gen_permutation(rng, n)
             h.update(serialize_decomposition(solve(pi)[1], n).encode())
         assert h.hexdigest() == "0e4c001c3010c726795bd299b9d0c508189e184f66e5c92896b3b9f2e17e826b"
+
+    def test_witness_bytes_pinned_to_two_hundred(self):
+        # computed with the crossing-set grid, before the scanline sweeps
+        h = hashlib.sha256()
+        rng = random.Random(211)
+        for n in range(40, 201, 20):
+            pi = gen_permutation(rng, n)
+            h.update(serialize_decomposition(solve(pi)[1], n).encode())
+        assert h.hexdigest() == "ab97bbb6d6dfc9bb85c9893f186bc8c5f7690d7a7baddef5495f36509bd6782a"
+
+    def test_solve_holds_no_table_of_line_sets(self):
+        # the crossing-set grid and its pile memo peaked at 15.6 MB here
+        pi = gen_permutation(random.Random(1), 150)
+        tracemalloc.start()
+        try:
+            solve(pi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
