@@ -9,10 +9,13 @@ Those primitives share one sweep, component_neighborhoods, which yields
 each component C of G[s] with N(C) from the adjacency rows its search
 ORs together, walking bits with an inline lowest-bit loop.  The
 separator listing remembers the sets it has swept and sweeps each once.
+The PMC listing sweeps no set twice either: it carries each PMC's sweep
+up the prefixes and takes their separators from Delta(G) (enumerate_pmcs).
 """
 
-from functools import cache
-from typing import Iterable, List, Optional, Sequence, Tuple
+from itertools import accumulate, chain
+from operator import or_
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .bitset import bit_list, bits, mask_of
 
@@ -243,71 +246,114 @@ def enumerate_minimal_separators(g: Graph) -> List[int]:
     return sorted(seps)
 
 
-def enumerate_pmcs(g: Graph) -> Tuple[List[int], List[int]]:
-    """The sorted PMCs and the sorted minimal separators of connected G.
+Sweep = List[Tuple[int, int]]
 
-    Bouchitte-Todinca one-more-vertex listing ("Listing all potential
-    maximal cliques of a graph", TCS 2002).  Vertices are added in BFS
-    order, so every prefix graph G_i is connected.  With a the vertex
-    that G_{i+1} adds, every PMC of G_{i+1} is one of: Omega' + a or
-    Omega' for a PMC Omega' of G_i; S + a for S in Delta(G_{i+1}); or,
-    when a is not in S and S is not in Delta(G_i), S + (T & C) for T in
-    Delta(G_{i+1}) and C a component of G_{i+1} - S.  By the lemma
-    behind the listing, Omega' + a or Omega' is a PMC of G_{i+1}, so
-    Omega' is kept untested when Omega' + a fails.  A minimal separator
-    is never a PMC, so S + a with a in S, and every other candidate in
-    Delta(G_{i+1}), is never tested.  The S + (T & C) of one S form one
-    set, and each remaining candidate is checked once with is_pmc, so
-    the work follows the number of minimal separators and PMCs instead
-    of 2^n.  The last prefix graph is G itself, so its Delta is
-    returned alongside.
-    """
-    n = g.n
-    if n == 0:
-        return [], []
-    if not g.is_connected():
-        raise ValueError("PMC listing requires a connected graph")
+
+def _joined(pairs: Sweep, a: int, na: int) -> Tuple[Sweep, int]:
+    """The sweep of X + a from the sweep of X, na being a's row: a merges
+    the components it touches.  Also the union of their N(C)."""
+    merged, reach, out = a, 0, []
+    for c, nc in pairs:
+        if c & na:
+            merged |= c
+            reach |= nc
+        else:
+            out.append((c, nc))
+    out.append((merged, (reach | na) & ~merged))
+    return out, reach
+
+
+def _prefixes(g: Graph) -> Tuple[List[int], List[int], List[Graph], list]:
+    """The prefixes P_i of connected G, in G's own labels: its vertices in
+    BFS order from 0, the vertex set of each P_i (the first i + 1), P_i
+    with G's rows masked by it, and Delta(P_i) with its new separators:
+    the S in it with a not in S and S not in Delta(P_{i-1}), a being the
+    vertex P_i adds, each with the components of P_i - S.  Each P_i is
+    connected.  Below one listing of Delta(G), Delta(P_{i-1}) is
+    {T - a : a in T in Delta(P_i)} plus the T in Delta(P_i) with a not in
+    T and two full components in P_{i-1}.  For a in T, P_{i-1} - (T - a)
+    = P_i - T, whose full components avoid a, and T = {a} would
+    disconnect P_{i-1}.  Conversely, for S in Delta(P_{i-1}), if a
+    touches two full components of S, they are full for S + a in P_i;
+    else two stay full for S (Bouchitte & Todinca 2002)."""
     order = [0]
     seen = 1
     for v in order:
         for w in bits(g.adj[v] & ~seen):
             seen |= 1 << w
             order.append(w)
-    pos = {v: i for i, v in enumerate(order)}
-    # h is g relabeled so that the prefix graph G_i has vertices 0..i-1
-    h_adj = [mask_of(pos[w] for w in bits(g.adj[v])) for v in order]
+    within = list(accumulate((1 << v for v in order), or_))
+    prefix = [Graph(g.n, [r & w for r in g.adj]) for w in within]
+    levels = [([], [])] * g.n
+    delta = enumerate_minimal_separators(g)
+    for i in range(g.n - 1, 0, -1):
+        a, na = 1 << order[i], prefix[i].adj[order[i]]
+        lower = {t ^ a for t in delta if t & a}
+        fresh = []
+        for t in delta:
+            if not (t & a or t in lower):
+                pairs = prefix[i - 1].component_neighborhoods(within[i - 1] & ~t)
+                if sum(nc == t for _, nc in pairs) > 1:
+                    lower.add(t)
+                else:
+                    fresh.append((t, [c for c, _ in _joined(pairs, a, na)[0]]))
+        levels[i] = delta, fresh
+        delta = sorted(lower)
+    return order, within, prefix, levels
 
-    pmcs = {1}
-    seps: List[int] = []
-    prev_seps = set()
+
+def enumerate_pmcs(g: Graph) -> Tuple[List[int], List[int], Dict[int, Sweep]]:
+    """The sorted PMCs and minimal separators of connected G, and each
+    PMC Omega's sweep of G - Omega as component_neighborhoods orders it.
+
+    Bouchitte-Todinca one-more-vertex listing ("Listing all potential
+    maximal cliques of a graph", TCS 2002).  With a the vertex that the
+    prefix P_i adds, each PMC of P_i is Omega' + a or Omega' for a PMC
+    Omega' of P_{i-1}; S + a for S in Delta(P_i); or, if a is not in S
+    and S not in Delta(P_{i-1}), S + (T & C) for T in Delta(P_i) and C a
+    component of P_i - S.  Each PMC is kept with its sweep of P_i - Omega.
+    1. Omega' + a needs no test.  P_i - (Omega' + a) = P_{i-1} - Omega'
+       has Omega''s components D, and a joins N(D) iff D touches N(a).
+       No N(D) was Omega', so none is Omega' + a, and pairs inside
+       Omega' stay covered: Omega' + a is a PMC iff each x in
+       Omega' - N(a) is in some N(D) with D touching N(a).  If not,
+       Omega' is one (the listing's lemma), with a joined (_joined).
+    2. Delta(P_i) comes downward from Delta(G) (_prefixes).  No minimal
+       separator is a PMC, so none is tested; _pmc_sweep tests the rest.
+    3. The prefixes keep G's labels and the last is G itself,
+       so each sweep, sorted by least vertex, is the sweep of G - Omega.
+    """
+    n = g.n
+    if n == 0:
+        return [], [], {}
+    if not g.is_connected():
+        raise ValueError("PMC listing requires a connected graph")
+    order, within, prefix, levels = _prefixes(g)
+    sweeps: Dict[int, Sweep] = {within[0]: []}
     for i in range(1, n):
-        low = (1 << (i + 1)) - 1
-        gi = Graph(i + 1, [a & low for a in h_adj[:i + 1]])
-        a = 1 << i
-        seps = enumerate_minimal_separators(gi)
-        sep_set = set(seps)
-        # a minimal separator is never a PMC, so it is never tested
-        pmc = cache(lambda om: om not in sep_set and is_pmc(gi, om))
-        found = set()
-        for om in pmcs:
-            found.add(om | a if pmc(om | a) else om)
-        for s in seps:
-            if s & a:
-                continue
-            if pmc(s | a):
-                found.add(s | a)
-            if s in prev_seps:
-                continue
-            comps = gi.components_within(gi.full & ~s)
-            cands = {s | (t & c) for t in seps for c in comps}
-            found.update(om for om in cands - found if pmc(om))
-        pmcs, prev_seps = found, sep_set
-    return (sorted(expand_mask(p, order) for p in pmcs),
-            sorted(expand_mask(s, order) for s in seps))
+        gi, a, na = prefix[i], 1 << order[i], prefix[i].adj[order[i]]
+        delta, fresh = levels[i]
+        # each set met in P_i, with its sweep if it is a PMC, else None
+        decided: Dict[int, Optional[Sweep]] = dict.fromkeys(delta)
+        for om, pairs in sweeps.items():
+            joined, reach = _joined(pairs, a, na)
+            if om & ~(na | reach):
+                decided[om | a], decided[om] = None, joined
+            else:
+                decided[om | a] = [(d, nd | a if d & na else nd) for d, nd in pairs]
+        # one S's candidates at a time, each T & C once
+        tries = (set(map(s.__or__, {t & c for c in comps for t in delta})) for s, comps in fresh)
+        for cands in chain([{s | a for s in delta if not s & a}], tries):
+            for om in cands.difference(decided):
+                decided[om] = _pmc_sweep(gi, om, within[i])
+        sweeps = {om: pairs for om, pairs in decided.items() if pairs is not None}
+    pmcs = sorted(sweeps)
+    return pmcs, levels[-1][0], {om: sorted(sweeps[om], key=lambda p: p[0] & -p[0]) for om in pmcs}
 
 
-def is_pmc(g: Graph, omega: int) -> bool:
-    """Potential maximal clique test.
+def _pmc_sweep(g: Graph, omega: int, within: int) -> Optional[Sweep]:
+    """The sweep of G[within] - omega, g's rows lying inside within, if
+    omega is a PMC of G[within]; else None.
 
     omega is a PMC iff no component of G minus omega sees all of omega,
     and every non-adjacent pair inside omega is covered by the
@@ -315,13 +361,12 @@ def is_pmc(g: Graph, omega: int) -> bool:
     passes when omega lies inside N[u] and the neighborhoods that
     contain u, so the cost is the total size of those neighborhoods.
     """
-    if omega == 0:
-        return False
     adj = g.adj
     seen = [0] * g.n  # seen[u]: union of the N(C) that contain u
-    for _, nc in g.component_neighborhoods(g.full & ~omega):
+    pairs = g.component_neighborhoods(within & ~omega)
+    for _, nc in pairs:
         if nc == omega:
-            return False
+            return None
         rest = nc
         while rest:
             low = rest & -rest
@@ -332,6 +377,11 @@ def is_pmc(g: Graph, omega: int) -> bool:
         low = rest & -rest
         u = low.bit_length() - 1
         if omega & ~(adj[u] | seen[u] | low):
-            return False
+            return None
         rest ^= low
-    return True
+    return pairs
+
+
+def is_pmc(g: Graph, omega: int) -> bool:
+    """Potential maximal clique test: _pmc_sweep over all of G."""
+    return omega != 0 and _pmc_sweep(g, omega, g.full) is not None

@@ -33,7 +33,9 @@ S avoids Omega and is a component D of G - Omega with N(D) = S.  Each
 block's list keeps catalog order, so ties go to the same Omega.  With
 each Omega the index keeps the block's sub-blocks, the components of
 G - Omega that see beyond S, so the DP sweeps no part again.  Every
-full block has an Omega, so these sweeps alone list the blocks.
+full block has an Omega, so these sweeps alone list the blocks.  The
+catalog holds them, with those of the inclusion-minimal separators
+from their fullness test, so neither the index nor the root sweeps.
 
 Covers are asked lazily.  An Omega's floor is the largest value of its
 sub-blocks.  It is skipped when the floor, or a single search showing
@@ -47,10 +49,10 @@ only block with no option.
 Above DENSE_MAX_N vertices, nothing here is indexed by all 2^n
 subsets.  The PMCs and the minimal separators come from one listing,
 graph.enumerate_pmcs, which builds the PMCs from the minimal
-separators, and every vcc test and bag partition comes from one
-CoverOracle, which solves only the sets the recurrence reads.
-Up to DENSE_MAX_N vertices the catalog comes from a Lawler table and an
-is_pmc sweep over all subsets.
+separators and keeps their sweeps, and every vcc test and bag
+partition comes from one CoverOracle, which solves only the sets the
+recurrence reads.  Up to DENSE_MAX_N vertices the catalog comes from a
+Lawler table and an is_pmc sweep over all subsets.
 """
 
 from dataclasses import dataclass, field
@@ -58,7 +60,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .cover import Cover, CoverOracle, check_cap, lawler_table
 from .decomposition import AugmentedTreeDecomposition, BagTree, from_bag_tree, solve_per_component
-from .graph import Graph, enumerate_minimal_separators, enumerate_pmcs, is_pmc
+from .graph import Graph, Sweep, enumerate_minimal_separators, enumerate_pmcs, is_pmc
 
 # Largest n whose catalog comes from the dense table and subset sweep.
 # `tclq solve` over all connected graphs with n <= 4 takes 0.83 of the
@@ -72,12 +74,15 @@ class PmcCatalog:
     pmcs: List[int]
     separators: List[int]
     inclusion_minimal: List[int]
+    # component_neighborhoods(V - X) for each PMC and inclusion-minimal X
+    sweeps: Dict[int, Sweep] = field(repr=False)
     cover: Cover = field(repr=False, default=None)
 
 
 def build_catalog(g: Graph) -> Tuple[PmcCatalog, Cover]:
     """All PMCs of connected G, all minimal separators, the
-    inclusion-minimal separators, and the cover source the DP asks.
+    inclusion-minimal separators, the sweeps of G - X for the PMCs and
+    inclusion-minimal X, and the cover source the DP asks.
 
     Up to DENSE_MAX_N vertices the PMCs come from an is_pmc sweep and the
     cover is a Lawler table; above it the PMCs are listed from the
@@ -88,24 +93,29 @@ def build_catalog(g: Graph) -> Tuple[PmcCatalog, Cover]:
         cover: Cover = lawler_table(g)
         pmcs = [s for s in range(1 << g.n) if is_pmc(g, s)]
         seps = enumerate_minimal_separators(g)
+        sweeps = {p: g.component_neighborhoods(g.full & ~p) for p in pmcs}
     else:
         cover = CoverOracle(g)
-        pmcs, seps = enumerate_pmcs(g)
-    incl_min = [s for s in seps
-                if all(nc == s for _, nc in g.component_neighborhoods(g.full & ~s))]
-    return PmcCatalog(pmcs, seps, incl_min, cover), cover
+        pmcs, seps, sweeps = enumerate_pmcs(g)
+    incl_min = []
+    for s in seps:
+        pairs = g.component_neighborhoods(g.full & ~s)
+        if all(nc == s for _, nc in pairs):
+            incl_min.append(s)
+            sweeps[s] = pairs
+    return PmcCatalog(pmcs, seps, incl_min, sweeps, cover), cover
 
 
 def block_index(g: Graph, catalog: PmcCatalog) -> Dict[Tuple[int, int], list]:
     """The full blocks (S, C) by part size, each with its admissible
     PMCs in catalog order (the index in the module docstring), read off
-    the sweeps of G - Omega for the PMCs Omega alone.  With
+    the catalog's sweeps of G - Omega for the PMCs Omega alone.  With
     each PMC Omega come the sub-blocks (N(D), D) for the components D of
     the part minus Omega: the components of G - Omega that see beyond S,
     in the order of the sweep."""
     served: Dict[Tuple[int, int], list] = {}
     for omega in catalog.pmcs:
-        pairs = g.component_neighborhoods(g.full & ~omega)
+        pairs = catalog.sweeps[omega]
         for _, sep in pairs:
             # C: V - S without the components of G - Omega that see only S
             comp = g.full & ~sep
@@ -130,7 +140,7 @@ def tcl_via_pmc(g: Graph, catalog: PmcCatalog) -> Tuple[int, AugmentedTreeDecomp
     served = block_index(g, catalog)
     # the graph is the last block, (empty, V), with the root separators
     root = (0, g.full)
-    served[root] = [(s, [(nc, c) for c, nc in g.component_neighborhoods(g.full & ~s)])
+    served[root] = [(s, [(nc, c) for c, nc in catalog.sweeps[s]])
                     for s in catalog.inclusion_minimal]
     val: Dict[Tuple[int, int], int] = {}
     pick: Dict[Tuple[int, int], Tuple[int, List[Tuple[int, int]]]] = {}

@@ -4,12 +4,14 @@ import random
 
 import pytest
 
+from tclq import graph
 from tclq.bitset import bit_list, bits, mask_of
 from tclq.graph import (
     Graph,
     enumerate_maximal_independent_sets,
     enumerate_minimal_separators,
     enumerate_pmcs,
+    expand_mask,
     is_pmc,
     maximal_cliques_within,
 )
@@ -343,15 +345,15 @@ def pmc_sweep(g: Graph):
 
 def assert_listing_matches(g: Graph):
     # the listing's last prefix graph is G, so its Delta is Delta(G)
-    pmcs, seps = enumerate_pmcs(g)
+    pmcs, seps, _ = enumerate_pmcs(g)
     assert pmcs == pmc_sweep(g), g
     assert seps == enumerate_minimal_separators(g), g
 
 
 class TestEnumeratePmcs:
     def test_trivial(self):
-        assert enumerate_pmcs(Graph.from_edges(0, [])) == ([], [])
-        assert enumerate_pmcs(Graph.from_edges(1, [])) == ([1], [])
+        assert enumerate_pmcs(Graph.from_edges(0, [])) == ([], [], {})
+        assert enumerate_pmcs(Graph.from_edges(1, [])) == ([1], [], {1: []})
 
     def test_disconnected_rejected(self):
         with pytest.raises(ValueError):
@@ -377,28 +379,76 @@ class TestListingMatchesReference:
     def test_connected_to_8(self):
         for n in range(1, 9):
             for g in connected_graphs(n):
-                assert enumerate_pmcs(g) == reference_pmcs_and_separators(g), g
+                assert enumerate_pmcs(g)[:2] == reference_pmcs_and_separators(g), g
 
     @pytest.mark.parametrize("n", range(9, 19))
     def test_seeded_random(self, n):
         rng = random.Random(f"pmc-listing-reference:{n}")
         for p in (0.1, 0.2, 0.35, 0.5, 0.7, 0.85):
             g = gen_random(rng, n, p, connected=True)
-            assert enumerate_pmcs(g) == reference_pmcs_and_separators(g), g
+            assert enumerate_pmcs(g)[:2] == reference_pmcs_and_separators(g), g
 
     def test_fewer_is_pmc_calls_and_none_on_a_separator(self, monkeypatch):
+        # the listing's PMC test is _pmc_sweep, and is_pmc calls it too;
+        # no test on a minimal separator of P_i, nor on Omega' + a for a
+        # PMC Omega' of P_{i-1}
         g = gen_random(random.Random("pmc-listing-calls"), 14, 0.4, connected=True)
-        calls = count_calls(monkeypatch, is_pmc)
-        ours = enumerate_pmcs(g)
+        calls = count_calls(monkeypatch, graph._pmc_sweep)
+        ours = enumerate_pmcs(g)[:2]
         ours_calls = list(calls)
         calls.clear()
         assert reference_pmcs_and_separators(g) == ours
         assert len(ours_calls) < len(calls)
-        seps = {}
-        for gi, omega in ours_calls:
-            if gi not in seps:
-                seps[gi] = set(enumerate_minimal_separators(gi))
-            assert omega not in seps[gi], (gi, omega)
+        order, within, _, _ = graph._prefixes(g)
+        step = {w: i for i, w in enumerate(within)}
+        seps, grown = {}, {}
+        for _, omega, rest in ours_calls:
+            i = step[rest]
+            if i not in seps:
+                sub, verts = g.induced_subgraph(rest)
+                seps[i] = {expand_mask(s, verts) for s in enumerate_minimal_separators(sub)}
+                sub, verts = g.induced_subgraph(within[i - 1])
+                grown[i] = {expand_mask(p, verts) | 1 << order[i]
+                            for p in reference_pmcs_and_separators(sub)[0]}
+            assert omega not in seps[i], (i, omega)
+            assert omega not in grown[i], (i, omega)
+        assert len(seps) > 1
+
+
+def assert_listing_invariants(g: Graph):
+    """Each PMC's carried sweep is the sweep of G - Omega, and the
+    downward Delta of each prefix graph is its own listing, with the
+    separators it adds and their components."""
+    pmcs, _, sweeps = enumerate_pmcs(g)
+    assert list(sweeps) == pmcs, g
+    for omega in pmcs:
+        assert sweeps[omega] == g.component_neighborhoods(g.full & ~omega), (g, omega)
+    order, within, _, levels = graph._prefixes(g)
+    assert levels[-1][0] == enumerate_minimal_separators(g), g
+    below = set()
+    for i, (delta, fresh) in enumerate(levels):
+        sub, verts = g.induced_subgraph(within[i])
+        want = sorted(expand_mask(s, verts) for s in enumerate_minimal_separators(sub))
+        assert delta == want, (g, i)
+        a = 1 << order[i]
+        assert [s for s, _ in fresh] == [s for s in delta if not s & a and s not in below], (g, i)
+        for s, comps in fresh:
+            assert sorted(comps) == sorted(g.components_within(within[i] & ~s)), (g, i, s)
+        below = set(delta)
+
+
+class TestListingInvariants:
+    def test_connected_to_7(self):
+        for n in range(1, 8):
+            for g in connected_graphs(n):
+                assert_listing_invariants(g)
+
+    @pytest.mark.parametrize("n", range(9, 19))
+    def test_seeded_random(self, n):
+        # the graphs of TestListingMatchesReference
+        rng = random.Random(f"pmc-listing-reference:{n}")
+        for p in (0.1, 0.2, 0.35, 0.5, 0.7, 0.85):
+            assert_listing_invariants(gen_random(rng, n, p, connected=True))
 
 
 class TestMaximalCliques:

@@ -63,6 +63,17 @@ class TestBuildCatalog:
                 minimal = not any(t & ~s == 0 for t in sep_set if t != s)
                 assert (s in set(catalog.inclusion_minimal)) == minimal
 
+    def test_sweeps_of_pmcs_and_root_separators(self, connected_to_6):
+        # one record per set, PMCs and separators being disjoint
+        rng = random.Random("pmc-catalog-sweeps")
+        seeded = [gen_random(rng, n, p, connected=True)
+                  for n in range(8, 15) for p in (0.15, 0.3, 0.5)]
+        for g in list(connected_to_6) + seeded:
+            catalog, _ = build_catalog(g)
+            assert sorted(catalog.sweeps) == sorted(catalog.pmcs + catalog.inclusion_minimal)
+            for x, pairs in catalog.sweeps.items():
+                assert pairs == g.component_neighborhoods(g.full & ~x), (g, x)
+
     def test_capacity(self):
         with pytest.raises(CapacityError):
             build_catalog(Graph.from_edges(65, []))
@@ -95,6 +106,24 @@ class TestBlockIndex:
         rng = random.Random(f"pmc-block-index:{n}")
         for p in (0.15, 0.3, 0.5, 0.7):
             assert_index_matches_scan(gen_random(rng, n, p, connected=True))
+
+    def test_dp_sweeps_no_set_the_catalog_swept(self, monkeypatch):
+        g = gen_random(random.Random("pmc-block-index:sweeps"), 13, 0.3, connected=True)
+        catalog, _ = build_catalog(g)
+        want = tcl_via_pmc(g, catalog)
+        swept = []
+        sweep = Graph.component_neighborhoods
+
+        def recording(self, s):
+            swept.append(s)
+            return sweep(self, s)
+
+        monkeypatch.setattr(Graph, "component_neighborhoods", recording)
+        block_index(g, catalog)
+        assert swept == []
+        assert tcl_via_pmc(g, catalog) == want
+        assert catalog.inclusion_minimal
+        assert not {g.full & ~x for x in catalog.sweeps} & set(swept)
 
     def test_blocks_by_part_size(self):
         g = gen_random(random.Random("pmc-block-index:order"), 12, 0.3, connected=True)
