@@ -8,15 +8,22 @@ takes the same step top-down from V and solves only the sets it reads.
 An inclusion-exclusion engine counts covers/partitions by independent
 sets, which doubles as a chromatic-number routine with a constructive
 coloring mode; its signed sums over all 2^n subsets run over a histogram
-of a table's distinct values.  The coloring mode builds its table of
-independent-set counts once, on two facts: every vertex below the pivot
-(the lowest vertex with a non-neighbour above it) is adjacent to all
-others, so a trial is decided on the graph without them; and a trial
-changes edges only at the pivot, so the table of the vertices above it
-is kept and only shrinks.  A proper coloring with the counted number
-of colors, kept as a witness, decides each trial whose pair it colors
-apart without a count: it colors the trial graph too, so the count
-would be positive.  Every other trial, each merge among them, is still
+of a table's distinct values.  Each of its subset tables is one
+non-negative int of 2^n lanes of 32 bits, lane T at bits 32T to
+32T + 31, so a table step is a few whole-int operations.  A masked
+gather (lane r takes lane r & M) copies, for each bit q that M lacks,
+the lanes without q onto those with q, through a mask of the lanes
+without q that each call builds by doubling one period; no mask or
+table outlives a call.  No lane exceeds 2^TABLE_MAX_N, so a sum of
+tables carries nothing between lanes.  The coloring mode builds its
+table of independent-set counts once, on two facts: every vertex below
+the pivot (the lowest vertex with a non-neighbour above it) is adjacent
+to all others, so a trial is decided on the graph without them; and a
+trial changes edges only at the pivot, so the table of the vertices
+above it is kept and only shrinks.  A proper coloring with the counted
+number of colors, kept as a witness, decides each trial whose pair it
+colors apart without a count: it colors the trial graph too, so the
+count would be positive.  Every other trial, each merge among them, is still
 counted, so no decision changes.  These operations refuse a graph above
 TABLE_MAX_N vertices before allocating anything.  The CoverOracle is the
 sparse counterpart for the solvers: it solves only the sets a caller
@@ -37,9 +44,10 @@ layering tells, with no search, which v keep s + v within two cliques
 """
 
 import math
+import struct
+import sys
 from collections import Counter
-from itertools import compress, count
-from operator import add
+from itertools import count
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from .bitset import bit_list, bits, lowest_bit
@@ -47,8 +55,18 @@ from .graph import Graph, enumerate_maximal_independent_sets, maximal_cliques_wi
 
 CAP = 64
 # Largest n for a table over all 2^n subsets.  lawler_table takes about
-# 40 MB at n = 20, and sixteen times more for every four vertices.
+# 40 MB at n = 20, and sixteen times more for every four vertices.  An
+# inclusion-exclusion table is one int of 2^n lanes of LANE bits, each a
+# native unsigned int ("I"): 4 MB at n = 20.  A lane holds at most
+# 2^TABLE_MAX_N (the edgeless graph's count at V), so a histogram key,
+# 4 a + 3 at most, stays below 2^(TABLE_MAX_N + 3), and the sum of two
+# lanes never carries into the next.
 TABLE_MAX_N = 20
+LANE_BYTES = 4
+LANE = 8 * LANE_BYTES
+if struct.calcsize("I") != LANE_BYTES or TABLE_MAX_N + 3 >= LANE:
+    raise RuntimeError(f"subset-table lanes of {LANE} bits need a {LANE_BYTES}-byte "
+                       f"unsigned int and TABLE_MAX_N below {LANE - 3}")
 
 
 class CapacityError(Exception):
@@ -230,51 +248,89 @@ class CoverOracle:
 Cover = Union[CoverOracle, CoverTable]
 
 
-def _maximal_independent_count_table(g: Graph) -> List[int]:
-    """zeta[T] = number of maximal independent sets of G inside T."""
-    zeta = [0] * (1 << g.n)
-    for m in enumerate_maximal_independent_sets(g):
-        zeta[m] = 1
-    # The zeta transform, one vertex per pass: each set with vertex 0 (odd
-    # index) adds the same set without it.  The new list holds the sets
-    # without vertex 0 in its bottom half and those with it in its top
-    # half, so its index is T's bits rotated right by one; after n passes
-    # every vertex has been bit 0 once and the index is T again.
-    for _ in range(g.n):
-        without, with_ = zeta[::2], zeta[1::2]
-        zeta = without + list(map(add, with_, without))
+def _low_lanes(q: int, m: int) -> int:
+    """All the bits of the lanes whose index lacks bit q, over 2^m lanes
+    (q < m): 2^q lanes of ones, repeated every 2^(q+1) lanes, built by
+    doubling one period."""
+    span = LANE << q
+    mask = (1 << span) - 1
+    span <<= 1
+    while span < LANE << m:
+        mask |= mask << span
+        span <<= 1
+    return mask
+
+
+def _gather(table: int, keep: int, m: int) -> int:
+    """The table over 2^m lanes whose lane r is the table's lane r & keep:
+    one bit q that keep lacks at a time, every lane with q takes the lane
+    without it."""
+    for q in bits(~keep & ((1 << m) - 1)):
+        low = table & _low_lanes(q, m)
+        table = low | low << (LANE << q)
+    return table
+
+
+def _maximal_independent_count_table(g: Graph) -> int:
+    """Lane T: the number of maximal independent sets of G inside T."""
+    lanes = bytearray(LANE_BYTES << g.n)
+    for mis in enumerate_maximal_independent_sets(g):
+        lanes[LANE_BYTES * mis] = 1
+    zeta = int.from_bytes(lanes, "little")
+    # the zeta transform, one vertex per pass: each set with q adds the
+    # same set without it
+    for q in range(g.n):
+        zeta += (zeta & _low_lanes(q, g.n)) << (LANE << q)
     return zeta
 
 
-def _independent_count_table(g: Graph) -> List[int]:
-    """ind[T] = number of independent sets (including empty) inside T."""
+def _independent_count_table(g: Graph) -> int:
+    """Lane T: the number of independent sets (including empty) inside T."""
     adj = g.adj
-    ind = [1]
+    ind = 1
     for v in range(g.n):
-        # ind[r + v] for r below v: the sets avoiding v, plus v with
-        # each independent set of r outside v's neighbourhood
-        ind += [ind[r] + ind[r & ~adj[v]] for r in range(1 << v)]
+        # lane r + v for r below v: the sets avoiding v, plus v with each
+        # independent set of r outside v's neighbourhood
+        ind |= (ind + _gather(ind, ~adj[v], v)) << (LANE << v)
     return ind
 
 
-_FLIP = bytes.maketrans(b"\0\1", b"\1\0")
+def _key_counts(table: int, n: int, tag: int = 0) -> Counter:
+    """How many lanes T of a table over the 2^n subsets of n vertices hold
+    each key 4 a + 2 [|T| odd] + tag [0 in T], a being lane T's value: one
+    pass over the lanes, in any order.  A key is below 2^(TABLE_MAX_N + 3)."""
+    # even holds each lane's 2 [|T| odd] + tag [0 in T], odd the same with
+    # the parity flipped; each vertex above 0 doubles both, and the last
+    # needs even alone
+    even, odd = (2 | tag) << LANE, 2 | tag << LANE
+    for v in range(1, n):
+        span = LANE << v
+        even, odd = even | odd << span, odd | even << span if v + 1 < n else 0
+    keys = table << 2 | (even if n else 0)
+    del even, odd
+    return Counter(memoryview(keys.to_bytes(LANE_BYTES << n, sys.byteorder)).cast("I"))
 
 
-def _signed_histogram(table: List[int], n: int) -> Dict[int, int]:
-    """{a: sum of (-1)^(n - |T|) over the subsets T with table[T] == a},
+def _signed(counts: Counter, n: int, tag: Optional[int] = None) -> Dict[int, int]:
+    """{a: sum of (-1)^(n - |T|) over the counted lanes T holding a}, over
+    all of _key_counts's keys or those with the given tag; zero sums
+    dropped."""
+    hist: Dict[int, int] = {}
+    for key, c in counts.items():
+        if tag is None or key & 1 == tag:
+            a = key >> 2
+            hist[a] = hist.get(a, 0) + (c if key >> 1 & 1 == n & 1 else -c)
+    return {a: c for a, c in hist.items() if c}
+
+
+def _signed_histogram(table: int, n: int) -> Dict[int, int]:
+    """{a: sum of (-1)^(n - |T|) over the subsets T whose lane holds a},
     for a table over the 2^n subsets of n vertices; zero sums dropped.
 
     The inclusion-exclusion sum over X of (-1)^|X| f(table[V - X]) is
     then the sum of c * f(a) over the items (a, c).
     """
-    odd = b"\0"  # odd[T] = |T| mod 2, doubled one vertex at a time
-    for _ in range(n):
-        odd += odd.translate(_FLIP)
-    # (-1)^(n - |T|) is +1 where |T| has the parity of n
-    plus, minus = (odd, odd.translate(_FLIP)) if n & 1 else (odd.translate(_FLIP), odd)
-    hist = Counter(compress(table, plus))
-    hist.subtract(Counter(compress(table, minus)))
-    return {a: c for a, c in hist.items() if c}
+    return _signed(_key_counts(table, n), n)
 
 
 def ie_count_covers(g: Graph, k: int) -> int:
@@ -310,11 +366,19 @@ def _ie_partition_sum(hist: Dict[int, int], k: int) -> int:
     return sum(c * (a - 1)**k for a, c in hist.items())
 
 
-def _drop_bit(table: List[int], b: int) -> List[int]:
-    """The entries of table whose index lacks bit b, in order: the table
-    of the same sets with the vertex of bit b left out of the graph."""
-    step = 1 << b
-    return list(compress(table, (b"\1" * step + b"\0" * step) * (len(table) >> (b + 1))))
+def _drop_bit(table: int, b: int) -> int:
+    """The lanes of table whose index lacks bit b, in order: the table of
+    the same sets with the vertex of bit b left out of the graph."""
+    chunk = LANE_BYTES << b  # the bytes of 2^b lanes
+    pair = 2 * chunk
+    size = -(-table.bit_length() // (8 * pair)) * pair
+    data = table.to_bytes(size, "little")
+    if b <= 1:
+        # a chunk is one native item, of 4 or 8 bytes: keep every second
+        kept = memoryview(data).cast("I" if b == 0 else "Q")[::2]
+    else:
+        kept = b"".join([data[i:i + chunk] for i in range(0, size, pair)])
+    return int.from_bytes(kept, "little")
 
 
 def _merge(adj: List[int], i: int, j: int) -> List[int]:
@@ -335,13 +399,12 @@ def _merge(adj: List[int], i: int, j: int) -> List[int]:
     return merged
 
 
-def _odd_half_sum(base: List[int], outside: int, m: int, c: int) -> int:
+def _odd_half_sum(base: int, outside: int, m: int, c: int) -> int:
     """A trial's signed sum at c over the sets that hold the pivot: for
     each subset R of the m vertices above the pivot, R plus the pivot
     has base[R] + base[R & outside] independent sets, where outside
     drops the pivot's neighbours.  The sets without the pivot are base's."""
-    odd = [x + base[r & outside] for r, x in enumerate(base)]
-    return _ie_partition_sum(_signed_histogram(odd, m), c)
+    return _ie_partition_sum(_signed_histogram(base + _gather(base, outside, m), m), c)
 
 
 def _witness_coloring(adj: List[int], k: int, pivot: int) -> Optional[List[int]]:
@@ -411,33 +474,39 @@ def ie_chromatic_with_construction(g: Graph) -> Tuple[int, List[int]]:
     h minus those vertices at k - i.  A trial changes only edges at the
     pivot (an added edge ij, or a merge that drops j and gives i its
     neighbours), so the table `base` of h - {0..i} is never recomputed:
-    a merge keeps its entries without j's bit, and a pivot step keeps
-    base[::2].  The table of h - {0..i-1} has base as its entries
-    without i and base[R] + base[R & ~N(i)] as those with i, so the
-    trial's signed sum is the sum over that odd half, for N(i) with j,
-    minus the sum over base, which is kept until base changes.
+    a merge keeps its lanes without j's bit, and a pivot step keeps
+    those without bit 0.  The table of h - {0..i-1} has base as its
+    lanes without i and base[R] + base[R & ~N(i)] as those with i, so
+    the trial's signed sum is the sum over that odd half, for N(i) with
+    j, minus the sum over base, which is kept until base changes.  The
+    histogram pass over G's table tags each lane with [0 in T], so the
+    same pass that finds k also gives base's sum at pivot 0.
     """
     check_table_size(g.n)
     n = g.n
     if n == 0:
         return 0, []
     table = _independent_count_table(g)
-    hist = _signed_histogram(table, n)
+    counts = _key_counts(table, n, 1)
+    hist = _signed(counts, n)
     k = next((c for c in range(1, n) if _ie_partition_sum(hist, c) > 0), n)
+    # the signed sum over base at k - i, until base changes: at i = 0, the
+    # untagged lanes, signed over the n - 1 vertices above 0
+    even = _ie_partition_sum(_signed(counts, n - 1, 0), k)
+    del counts, hist
+    i = 0  # the pivot; every vertex below it is adjacent to all others
+    base = _drop_bit(table, 0)  # independent-set counts of h - {0..i}
+    del table  # its odd half is not read again
     adj = list(g.adj)
     color = _witness(adj, k, 0)
     groups: List[int] = [1 << v for v in range(n)]
-    i = 0  # the pivot; every vertex below it is adjacent to all others
-    base = table[::2]  # independent-set counts of h - {0..i}
-    del table  # its odd half is not read again
-    even = None  # the signed sum over base at k - i, until base changes
     while i + 1 < len(adj):
         shift = i + 1
         m = len(adj) - shift  # base is over the 2^m subsets of the vertices above i
         hood = adj[i] >> shift
         rest = ~hood & ((1 << m) - 1)
         if not rest:
-            i, base, even = shift, base[::2], None
+            i, base, even = shift, _drop_bit(base, 0), None
             continue
         b = lowest_bit(rest)
         j = shift + b

@@ -540,6 +540,15 @@ class TestCliCover:
         (0.8, 2): "93c5e8baaa04d08643a272866f85ea3e39d2d2e163bc3e939330a181aaec33c6",
     }
 
+    # the same at p = 0.5 towards TABLE_MAX_N = 20, keyed by (n, seed),
+    # as the construction on list tables printed it
+    IE_STDOUT_SHA256_LARGE = {
+        (18, 1): "25aea26313870312b4db31f56f06b8d8b2c3e6a5426d83140376520fdb0cae91",
+        (18, 2): "409b2c3169ba0f7adcb942c684f4d8ba7d5c4d3573d1aa7a5617e30096624688",
+        (20, 1): "a56022021d2a6a3ea2b22a4a6584a854418b80860d6bc2cb656b19a69a31d313",
+        (20, 2): "852ad18031711a01b15cf5eebecf272f60e61b708cda1e9763f45699980f66bb",
+    }
+
     def ie_stdout_sha256(self, seed, n, p, tmp_path, capsys):
         col = str(tmp_path / "g.col")
         assert main(["gen", "--family", "random", "--seed", str(seed), "--n", str(n),
@@ -556,6 +565,19 @@ class TestCliCover:
     def test_ie_stdout_pinned_n16(self, p, seed, tmp_path, capsys):
         assert self.ie_stdout_sha256(seed, 16, p, tmp_path, capsys) == \
             self.IE_STDOUT_SHA256_N16[p, seed]
+
+    @pytest.mark.parametrize("n, seed", sorted(IE_STDOUT_SHA256_LARGE))
+    def test_ie_stdout_pinned_large(self, n, seed, tmp_path, capsys):
+        assert self.ie_stdout_sha256(seed, n, 0.5, tmp_path, capsys) == \
+            self.IE_STDOUT_SHA256_LARGE[n, seed]
+
+    def test_ie_k20(self, tmp_path, capsys):
+        # the complement is edgeless: its table's lane V holds 2^20
+        col = tmp_path / "k20.col"
+        col.write_text(io.serialize_graph(complete(20)))
+        assert main(["cover", "--input", str(col), "--method", "ie"]) == 0
+        assert capsys.readouterr().out == \
+            "vcc 1\nclique " + " ".join(str(v) for v in range(1, 21)) + "\n"
 
     @pytest.mark.parametrize("method", ["lawler", "ie"])
     def test_zero_vertices(self, method, tmp_path, capsys):

@@ -220,13 +220,34 @@ def reference_count_covers(g: Graph, k: int) -> int:
     return total
 
 
+def _lanes(t: int, m: int):
+    """The 2^m lanes of a packed table, lane 0 first; nothing lies above."""
+    width = cover.LANE
+    assert t >> (width << m) == 0
+    return [t >> (width * r) & ((1 << width) - 1) for r in range(1 << m)]
+
+
+def _packed(values):
+    """The packed table whose lanes are values."""
+    return sum(x << (cover.LANE * r) for r, x in enumerate(values))
+
+
+def reference_signed_histogram(values, n):
+    hist = {}
+    for t, a in enumerate(values):
+        hist[a] = hist.get(a, 0) + (-1) ** (n - t.bit_count())
+    return {a: c for a, c in hist.items() if c}
+
+
 class TestIeKernels:
-    """The doubling tables and the histogram sums against the
+    """The packed tables and the histogram sums against the
     one-entry-at-a-time loops, for every k in 0..n+1."""
 
     def check(self, g):
-        assert cover._independent_count_table(g) == reference_independent_count_table(g)
-        assert cover._maximal_independent_count_table(g) == reference_mis_count_table(g)
+        assert _lanes(cover._independent_count_table(g), g.n) == \
+            reference_independent_count_table(g)
+        assert _lanes(cover._maximal_independent_count_table(g), g.n) == \
+            reference_mis_count_table(g)
         for k in range(g.n + 2):
             assert ie_count_partitions(g, k) == reference_count_partitions(g, k), (g, k)
             assert ie_count_covers(g, k) == reference_count_covers(g, k), (g, k)
@@ -241,6 +262,55 @@ class TestIeKernels:
         rng = random.Random(500 + n)
         for p in (0.2, 0.5, 0.8):
             self.check(gen_random(rng, n, p))
+
+    @staticmethod
+    def random_tables():
+        """Seeded tables with m <= 12 and lanes up to 2^TABLE_MAX_N; some
+        end in zero lanes."""
+        rng = random.Random(29)
+        for m in range(13):
+            for _ in range(3):
+                values = [rng.randrange((1 << TABLE_MAX_N) + 1) for _ in range(1 << m)]
+                zeros = rng.randrange(1 << m) if rng.random() < 0.3 else 0
+                values[len(values) - zeros:] = [0] * zeros
+                yield m, rng, values
+
+    def test_gather(self):
+        for m, rng, values in self.random_tables():
+            for keep in (0, (1 << m) - 1, rng.randrange(1 << m), ~rng.randrange(1 << m)):
+                assert _lanes(cover._gather(_packed(values), keep, m), m) == \
+                    [values[r & keep] for r in range(1 << m)], (m, keep)
+
+    def test_drop_bit_every_b(self):
+        for m, _, values in self.random_tables():
+            for b in range(m):
+                assert _lanes(cover._drop_bit(_packed(values), b), m - 1) == \
+                    [x for r, x in enumerate(values) if not r >> b & 1], (m, b)
+
+    def test_signed_histogram_and_tags(self):
+        for m, _, values in self.random_tables():
+            t = _packed(values)
+            assert cover._signed_histogram(t, m) == reference_signed_histogram(values, m)
+            if m:
+                # the untagged lanes are those without vertex 0, signed
+                # over the other m - 1 vertices
+                counts = cover._key_counts(t, m, 1)
+                assert cover._signed(counts, m) == reference_signed_histogram(values, m)
+                assert cover._signed(counts, m - 1, 0) == \
+                    reference_signed_histogram(values[::2], m - 1)
+
+
+class TestLaneHeadroom:
+    """At TABLE_MAX_N the edgeless graph's lane V holds 2^20, the largest
+    value any lane holds."""
+
+    def test_edgeless_counts(self):
+        g = empty(TABLE_MAX_N)
+        assert ie_count_partitions(g, 1) == 1
+        assert ie_count_partitions(g, 2) == 3**TABLE_MAX_N - 2
+
+    def test_edgeless_construction(self):
+        assert ie_chromatic_with_construction(empty(TABLE_MAX_N)) == (1, [0] * TABLE_MAX_N)
 
 
 class TestCountCovers:
