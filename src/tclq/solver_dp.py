@@ -1,25 +1,27 @@
 """Separator dynamic program for tree-clique width.
 
 The decision procedure answers tcl(G) <= k by processing blocks: a block
-entry is a separator S together with one component c of G - S (the part
-is S union c).  An entry is a yes when any of three rules applies:
+entry is a full block (S, c), a component c of G - S with N(c) = S (the
+part is S union c).  An entry is a yes when either rule applies:
 
-  base       vcc(S union c) <= k: the whole part fits in one bag.
-  reduction  N(c) is a proper subset of S and (N(c), c) is a yes: the
-             unused separator vertices retreat into a bag of their own.
-  hub        some v in c has vcc(S union {v}) <= k and every component D
-             of c - {v} yields a yes entry (N(D), D); the bag S union
-             {v} then covers the junction.
+  base  vcc(S union c) <= k: the whole part fits in one bag.
+  hub   some v in c has vcc(S union {v}) <= k and every component D of
+        c - {v} yields a yes entry (N(D), D); the bag S union {v} then
+        covers the junction.
 
 Sub-entries shrink the (part size, component size) pair lexicographically,
 so memoized recursion terminates, and no entry is read while it is still
 open.  The memo, the entries dict, maps each answered (S, c) to its
 witness, the BagTree of the rule that said yes, or to None for a no.
 
-A sub-entry's separator is N(D), so the reduction rule can fire only at
-a root entry; each entry carries N(c) from the sweep that found c, and
-no neighbourhood is computed again.  Every entry has vcc(S) <= k (a root
-is tested, and N(D) lies in a hub bag), so at k <= 2 the hubs of an
+A root S needs no rule of its own for a component c of G - S that is
+not full.  N(c) is then a minimal separator with c a full component (a
+full component of S other than c lies in a component of G - N(c) that
+sees all of N(c)), and (S, c) would be a yes exactly when (N(c), c) is:
+the base and hub tests are monotone under subsets, and the witness of
+(N(c), c) hangs below the bag S.  So every entry is keyed by its exact
+neighbourhood, which comes from the sweep that found c.  Every entry has
+vcc(S) <= k (S lies in a root or a hub bag), so at k <= 2 the hubs of an
 entry are read off neighbourhood masks (cover.hubs_within) with no
 search, and at k >= 3 one test vcc(S) <= k - 1 admits every v in c at
 once, since v adds at most one class.  The sweep of a set, its
@@ -27,14 +29,14 @@ components with their neighbourhoods, reads only G, so compute_tcl
 keeps one memo of sweeps for all its rounds.
 
 Globally, tcl(G) <= k iff vcc(V) <= k or some minimal separator S with
-vcc(S) <= k makes every entry (S, c) a yes.  Minimal separators suffice
-as roots: filling every bag of a width-<=k decomposition into a clique
-gives a triangulation, and a minimal triangulation inside it has each
-maximal clique inside some bag, so its width is <= k too, because vcc
-is monotone under subsets.  When vcc(V) > k that triangulation is not
-complete, every edge of its clique tree is a minimal separator S of G,
-and the triangulation's bags restricted to S union c witness each entry
-(S, c).
+vcc(S) <= k makes the entry (N(c), c) of each component c of G - S a
+yes.  Minimal separators suffice as roots: filling every bag of a
+width-<=k decomposition into a clique gives a triangulation, and a
+minimal triangulation inside it has each maximal clique inside some bag,
+so its width is <= k too, because vcc is monotone under subsets.  When
+vcc(V) > k that triangulation is not complete, every edge of its clique
+tree is a minimal separator S of G, and the triangulation's bags
+restricted to N(c) union c witness each entry (N(c), c).
 
 Every cover test above has the form vcc(s) <= k, so the recursion asks
 its cover source at_most(s, k) and never for a count above k; bag
@@ -124,30 +126,25 @@ def decide_tcl_at_most_k(
             return bits(comp)
         return (v for v in bits(comp) if at_most(sep | 1 << v, k))
 
-    def all_yes(blocks: List[Tuple[int, int]], sep: int = 0) -> Optional[List[BagTree]]:
-        """The witnesses of the entries (sep, c), or (N(c), c) when sep
-        is 0 (no root is empty), for the (c, N(c)) in blocks, or None at
-        the first no."""
+    def all_yes(blocks: List[Tuple[int, int]]) -> Optional[List[BagTree]]:
+        """The witnesses of the entries (N(c), c) for the (c, N(c)) in
+        blocks, or None at the first no."""
         kids = []
-        for comp, nb in blocks:
-            key = (sep or nb, comp)
+        for comp, sep in blocks:
+            key = (sep, comp)
             if key in entries:
                 w = entries[key]
             else:
-                w = entries[key] = answer(key[0], comp, nb)
+                w = entries[key] = answer(sep, comp)
             if w is None:
                 return None
             kids.append(w)
         return kids
 
-    def answer(sep: int, comp: int, nb: int) -> Optional[BagTree]:
+    def answer(sep: int, comp: int) -> Optional[BagTree]:
         part = sep | comp
         if at_most(part, k):
             return part, []
-        if nb != sep:
-            kids = all_yes([(comp, nb)])
-            if kids is not None:
-                return sep, kids
         for v in hubs(sep, comp):
             kids = all_yes(sweep(comp & ~(1 << v)))
             if kids is not None:
@@ -158,7 +155,7 @@ def decide_tcl_at_most_k(
         separators = _root_order(enumerate_minimal_separators(g))
     for s in separators:
         if at_most(s, k):
-            kids = all_yes(sweep(g.full & ~s), s)
+            kids = all_yes(sweep(g.full & ~s))
             if kids is not None:
                 return True, from_bag_tree(g, (s, kids), cover)
     return False, None

@@ -14,14 +14,14 @@ never changes the recurrence: every admissible Omega contains S, so the
 fill edges vanish from every subproblem, and charging bags by cliques of
 the filled graph would undercount the real covers.
 
-The graph's value minimizes over inclusion-minimal separators S: the
-root bag S costs vcc(S), each full component contributes its block
-value, and each non-full component C contributes the value of the full
-block (N(C), C).  A minimal separator S of connected G is
-inclusion-minimal exactly when every component of G - S is full, so one
-sweep decides it: a component C with N(C) proper-subset S is one full
-component of N(C), and a full component of S lies with S - N(C) in
-another; when all are full, a vertex of S - T joins them all.
+The graph's value minimizes over all minimal separators S: the root bag
+S costs vcc(S), and each component C of G - S the value of the block
+(N(C), C), full as N(C) is a minimal separator with C one full
+component (a full component of S lies with S - N(C) in another).  When
+N(C) is a proper subset of S, the root N(C) costs no more than S: C
+brings the same block, and S's root decomposition restricted to any
+other component of G - N(C) witnesses that block.  N(C) is a smaller
+mask, so the first strict minimum is an inclusion-minimal separator.
 
 A block's admissible Omega come from an index, not from a scan of all
 PMCs.  The minimal separators inside a PMC Omega are exactly the sets
@@ -34,17 +34,17 @@ block's list keeps catalog order, so ties go to the same Omega.  With
 each Omega the index keeps the block's sub-blocks, the components of
 G - Omega that see beyond S, so the DP sweeps no part again.  Every
 full block has an Omega, so these sweeps alone list the blocks.  The
-catalog holds them, with those of the inclusion-minimal separators
-from their fullness test, so neither the index nor the root sweeps.
+catalog holds them, with those of the minimal separators, so neither
+the index nor the root sweeps.
 
 Covers are asked lazily.  An Omega's floor is the largest value of its
 sub-blocks.  It is skipped when the floor, or a single search showing
 vcc(Omega) >= best, rules out beating the best so far; otherwise it
 costs the floor when vcc(Omega) <= floor, and vcc(Omega) only above it.
 The graph itself is the last block, (empty set, V), whose options are
-the inclusion-minimal separators with all components of G - S.  A
-complete or empty graph has none, so its value is vcc(V), one bag: the
-only block with no option.
+the minimal separators with all components of G - S.  A complete or
+empty graph has none, so its value is vcc(V), one bag: the only block
+with no option.
 
 Above DENSE_MAX_N vertices, nothing here is indexed by all 2^n
 subsets.  The PMCs and the minimal separators come from one listing,
@@ -73,16 +73,15 @@ DENSE_MAX_N = 4
 class PmcCatalog:
     pmcs: List[int]
     separators: List[int]
-    inclusion_minimal: List[int]
-    # component_neighborhoods(V - X) for each PMC and inclusion-minimal X
+    # component_neighborhoods(V - X) for each PMC and minimal separator X
     sweeps: Dict[int, Sweep] = field(repr=False)
     cover: Cover = field(repr=False, default=None)
 
 
 def build_catalog(g: Graph) -> Tuple[PmcCatalog, Cover]:
-    """All PMCs of connected G, all minimal separators, the
-    inclusion-minimal separators, the sweeps of G - X for the PMCs and
-    inclusion-minimal X, and the cover source the DP asks.
+    """All PMCs of connected G, all minimal separators, the sweeps of
+    G - X for the PMCs and minimal separators X, and the cover source
+    the DP asks.
 
     Up to DENSE_MAX_N vertices the PMCs come from an is_pmc sweep and the
     cover is a Lawler table; above it the PMCs are listed from the
@@ -97,13 +96,9 @@ def build_catalog(g: Graph) -> Tuple[PmcCatalog, Cover]:
     else:
         cover = CoverOracle(g)
         pmcs, seps, sweeps = enumerate_pmcs(g)
-    incl_min = []
     for s in seps:
-        pairs = g.component_neighborhoods(g.full & ~s)
-        if all(nc == s for _, nc in pairs):
-            incl_min.append(s)
-            sweeps[s] = pairs
-    return PmcCatalog(pmcs, seps, incl_min, sweeps, cover), cover
+        sweeps[s] = g.component_neighborhoods(g.full & ~s)
+    return PmcCatalog(pmcs, seps, sweeps, cover), cover
 
 
 def block_index(g: Graph, catalog: PmcCatalog) -> Dict[Tuple[int, int], list]:
@@ -141,7 +136,7 @@ def tcl_via_pmc(g: Graph, catalog: PmcCatalog) -> Tuple[int, AugmentedTreeDecomp
     # the graph is the last block, (empty, V), with the root separators
     root = (0, g.full)
     served[root] = [(s, [(nc, c) for c, nc in catalog.sweeps[s]])
-                    for s in catalog.inclusion_minimal]
+                    for s in catalog.separators]
     val: Dict[Tuple[int, int], int] = {}
     pick: Dict[Tuple[int, int], Tuple[int, List[Tuple[int, int]]]] = {}
     for blk, entries in served.items():

@@ -414,8 +414,9 @@ def reference_tcl_via_pmc(g: Graph):
     front and sweeps each part - Omega again: each full block takes the
     first strict minimum of max(vcc(Omega), its sub-block values) over
     its admissible PMCs in catalog order, and the root the same over the
-    inclusion-minimal separators.  The tests hold solver_pmc.tcl_via_pmc
-    to it, value and witness."""
+    inclusion-minimal separators, those whose components are all full.
+    The tests hold solver_pmc.tcl_via_pmc, whose root ranges over all
+    minimal separators, to it, value and witness."""
     catalog, cov = build_catalog(g)
     if not catalog.separators:
         return cov.value(g.full), from_bag_tree(g, (g.full, []), cov)
@@ -442,9 +443,12 @@ def reference_tcl_via_pmc(g: Graph):
         val[(sep, comp)] = best
         pick[(sep, comp)] = best_omega
     best_total = best_sep = None
-    for s in catalog.inclusion_minimal:
+    for s in catalog.separators:
+        pairs = g.component_neighborhoods(g.full & ~s)
+        if any(nc != s for _, nc in pairs):
+            continue
         total = sep_vcc[s]
-        for c, nc in g.component_neighborhoods(g.full & ~s):
+        for c, nc in pairs:
             total = max(total, val[(nc, c)])
         if best_total is None or total < best_total:
             best_total, best_sep = total, s

@@ -521,3 +521,30 @@ class TestSanitizeMatchesReference:
         assert raw.bags == (a, b, c, e)
         assert validate(g, raw).ok and [len(c) for c in raw.covers] == [1, 1, 1, 2]
         assert d == sanitize(g, raw)
+
+
+class TestSolverTreesNeedOnlyContractions:
+    """Each solver's raw bag tree is sane up to contractions: sanitize
+    neither prunes nor splits it, so every bag of the witness is a bag
+    the solver built."""
+
+    def test_witness_bags_are_raw_bags(self, connected_to_6, monkeypatch):
+        rng = random.Random("raw-trees-contract-only")
+        graphs = list(connected_to_6)
+        graphs += [generators.gen_random(rng, n, p, connected=True)
+                   for n in range(7, 13) for p in (0.2, 0.4, 0.6)]
+        raw = count_calls(monkeypatch, sanitize)
+        contracted = 0
+        for solve in (solver_dp.compute_tcl, solver_pmc.compute_tcl):
+            for g in graphs:
+                del raw[:]
+                d = solve(g)[1]
+                if g.is_clique(g.full):
+                    # a clique component is one bag, with no sanitize
+                    assert not raw and d.bags == (g.full,)
+                    continue
+                assert len(raw) == 1 and raw[0][0] is g
+                bags = raw[0][1].bags
+                assert set(d.bags) <= set(bags), (solve.__module__, g)
+                contracted += len(d.bags) < len(bags)
+        assert contracted

@@ -11,7 +11,7 @@ from tclq.bitset import bits, mask_of
 from tclq.cover import CapacityError, CoverOracle, lawler_table
 from tclq.decomposition import validate, width
 from tclq.generators import gen_random
-from tclq.graph import Graph
+from tclq.graph import Graph, enumerate_minimal_separators
 from tclq.oracle import tcl_oracle
 from tclq.solver_dp import compute_tcl, decide_tcl_at_most_k
 from tclq.solver_pmc import compute_tcl as pmc_tcl
@@ -164,8 +164,8 @@ class TestComputeTcl:
 
 class TestSharedWork:
     """Each piece of a solve's work is done once: hubs come from masks,
-    sweeps are shared by the rounds, and the reduction rule reads N(c)
-    from the root sweep."""
+    sweeps are shared by the rounds, and every entry reads N(c) from the
+    sweep that found c."""
 
     def test_each_set_swept_once_across_rounds(self, monkeypatch):
         real = Graph.component_neighborhoods
@@ -189,8 +189,9 @@ class TestSharedWork:
             raise AssertionError("the DP asked Graph.neighbors")
 
         monkeypatch.setattr(Graph, "neighbors", refuse)
-        # the reduction rule fires on this graph at k = 1, as
-        # test_reduction_entry_keeps_its_separator shows
+        # at k = 1 the root {0, 6} of this graph has the component
+        # {1, 4}, which is not full, as
+        # test_non_full_root_component_takes_its_full_entry shows
         g = Graph.from_edges(7, [(0, 3), (0, 5), (0, 6), (1, 4), (1, 6), (2, 5), (2, 6),
                                  (3, 6), (4, 6)])
         graphs = [g] + [gen_random(random.Random(f"dp-no-neighbors:{p}"), 11, p, connected=True)
@@ -315,7 +316,7 @@ class TestBlockInstrumentation:
                     assert ent is None or bag_union(ent) == sep | comp
                     assert table.values[sep] <= k
                     assert g.is_connected(comp)
-                    assert g.neighbors(comp) & ~sep == 0
+                    assert g.neighbors(comp) == sep
 
     def test_separator_characterization(self):
         # semantic form: the decision equals k-decomposability as the
@@ -328,17 +329,21 @@ class TestBlockInstrumentation:
                 ok, _ = decide_tcl_at_most_k(g, k, table)
                 assert ok == (truth <= k)
 
-    def test_reduction_entry_keeps_its_separator(self):
-        # {0, 6} separates the component {1, 4}, which sees only 6; the
-        # part is no clique, so the entry is a yes by the reduction rule,
-        # the bag {0, 6} over the witness of ({6}, {1, 4})
+    def test_non_full_root_component_takes_its_full_entry(self):
+        # the minimal separator {0, 6} has the component {1, 4}, which
+        # sees only 6; the root {0, 6} answers it by the full entry
+        # ({6}, {1, 4}), a yes by the base rule, and keeps no entry
+        # ({0, 6}, {1, 4})
         g = Graph.from_edges(7, [(0, 3), (0, 5), (0, 6), (1, 4), (1, 6), (2, 5), (2, 6),
                                  (3, 6), (4, 6)])
+        root, comp = mask_of([0, 6]), mask_of([1, 4])
+        assert root in enumerate_minimal_separators(g)
+        assert (comp, mask_of([6])) in g.component_neighborhoods(g.full & ~root)
         entries = {}
-        decide_tcl_at_most_k(g, 1, lawler_table(g), entries)
-        sep, comp = mask_of([0, 6]), mask_of([1, 4])
-        assert g.neighbors(comp) == mask_of([6])
-        assert entries[(sep, comp)] == (sep, [(mask_of([1, 4, 6]), [])])
+        ok, _ = decide_tcl_at_most_k(g, 1, lawler_table(g), entries)
+        assert not ok
+        assert entries[(mask_of([6]), comp)] == (mask_of([1, 4, 6]), [])
+        assert (root, comp) not in entries
 
     def test_yes_entries_have_witness(self):
         g = cycle(6)
@@ -349,4 +354,5 @@ class TestBlockInstrumentation:
         assert any(w is not None for w in entries.values())
         for (sep, comp), w in entries.items():
             # a yes holds its witness, whose bags cover exactly the part
+            assert g.neighbors(comp) == sep
             assert w is None or bag_union(w) == sep | comp

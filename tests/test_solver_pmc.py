@@ -30,14 +30,12 @@ class TestBuildCatalog:
         assert all(catalog.cover.value(p) == 2 for p in catalog.pmcs)
         seps = sorted([mask_of([0, 2]), mask_of([1, 3])])
         assert catalog.separators == seps
-        assert catalog.inclusion_minimal == seps
         assert all(catalog.cover.value(s) == 2 for s in seps)
 
     def test_k3(self):
         catalog, _ = build_catalog(complete(3))
         assert catalog.pmcs == [mask_of([0, 1, 2])]
         assert catalog.separators == []
-        assert catalog.inclusion_minimal == []
 
     def test_p4(self):
         catalog, _ = build_catalog(path(4))
@@ -45,23 +43,31 @@ class TestBuildCatalog:
             [mask_of([0, 1]), mask_of([1, 2]), mask_of([2, 3])]
         )
         assert catalog.separators == [1 << 1, 1 << 2]
-        assert catalog.inclusion_minimal == [1 << 1, 1 << 2]
 
     def test_marks_match_direct_test(self, connected_to_6):
         for g in connected_to_6:
             catalog, _ = build_catalog(g)
             assert catalog.pmcs == [s for s in range(1, 1 << g.n) if is_pmc(g, s)]
 
-    def test_inclusion_minimal_is_minimal(self, connected_to_6):
-        rng = random.Random("pmc-inclusion-minimal")
+    def test_root_components_are_indexed_blocks(self, connected_to_6):
+        # every component C of G - S, S a minimal separator, is a full
+        # component of N(C), so the root finds each (N(C), C) indexed;
+        # and S is inclusion-minimal exactly when all are full, the root
+        # rule of reference_tcl_via_pmc
+        rng = random.Random("pmc-root-blocks")
         seeded = [gen_random(rng, n, p, connected=True)
                   for n in range(8, 17) for p in (0.15, 0.3, 0.5)]
+        non_full = 0
         for g in list(connected_to_6) + seeded:
             catalog, _ = build_catalog(g)
-            sep_set = set(catalog.separators)
+            index = block_index(g, catalog)
             for s in catalog.separators:
-                minimal = not any(t & ~s == 0 for t in sep_set if t != s)
-                assert (s in set(catalog.inclusion_minimal)) == minimal
+                for c, nc in catalog.sweeps[s]:
+                    assert (nc, c) in index, (g, s, c)
+                    non_full += nc != s
+                minimal = not any(t & ~s == 0 for t in catalog.separators if t != s)
+                assert minimal == all(nc == s for _, nc in catalog.sweeps[s]), (g, s)
+        assert non_full
 
     def test_sweeps_of_pmcs_and_root_separators(self, connected_to_6):
         # one record per set, PMCs and separators being disjoint
@@ -70,7 +76,7 @@ class TestBuildCatalog:
                   for n in range(8, 15) for p in (0.15, 0.3, 0.5)]
         for g in list(connected_to_6) + seeded:
             catalog, _ = build_catalog(g)
-            assert sorted(catalog.sweeps) == sorted(catalog.pmcs + catalog.inclusion_minimal)
+            assert sorted(catalog.sweeps) == sorted(catalog.pmcs + catalog.separators)
             for x, pairs in catalog.sweeps.items():
                 assert pairs == g.component_neighborhoods(g.full & ~x), (g, x)
 
@@ -122,7 +128,7 @@ class TestBlockIndex:
         block_index(g, catalog)
         assert swept == []
         assert tcl_via_pmc(g, catalog) == want
-        assert catalog.inclusion_minimal
+        assert catalog.separators
         assert not {g.full & ~x for x in catalog.sweeps} & set(swept)
 
     def test_blocks_by_part_size(self):
@@ -179,7 +185,12 @@ class TestTclViaPmc:
 
 
 class TestMatchesEagerDp:
-    """tcl_via_pmc against the DP that solves every vcc up front."""
+    """tcl_via_pmc against the DP that solves every vcc up front and
+    roots at the inclusion-minimal separators alone."""
+
+    def test_connected_to_7(self, connected_to_6):
+        for g in list(connected_to_6) + connected_graphs(7):
+            assert tcl_via_pmc(g, build_catalog(g)[0]) == reference_tcl_via_pmc(g), g
 
     @pytest.mark.parametrize("n", range(8, 17))
     def test_seeded_random(self, n):
