@@ -2,9 +2,8 @@
 
 Every vertex set in this package is a plain Python int whose bit i is set
 iff vertex i belongs to the set.  The solvers cap graphs at 64 vertices
-(cover.CAP) and the subset tables at 20 (cover.TABLE_MAX_N), so masks
-fit machine words in CPython's small-int fast path, but nothing here
-depends on either cap.
+(cover.CAP) and the subset tables at 20 (cover.TABLE_MAX_N); nothing
+here depends on either cap.
 """
 
 from typing import Iterator, List

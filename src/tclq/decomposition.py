@@ -6,18 +6,20 @@ the bag.  Validation returns a report of violated conditions instead of
 raising.  A vertex's bags form one subtree exactly when just one of
 them is topmost, the root's or one whose parent lacks the vertex, so
 validate counts topmost bags instead of searching the tree.  Witnesses
-take one path: both general solvers hand their tree of bags to
-from_bag_tree, which numbers and covers it and sanitizes it.
-Sanitization enforces the structural hygiene the solvers' gluing may
-break (empty margins, disconnected components, dangling adhesion
-vertices) and re-derives minimum covers.  Both exact solvers reach
-disconnected graphs through solve_per_component.
+take one path: all three exact solvers hand their tree of bags to
+from_bag_tree, which numbers it, contracts each bag that contains or
+lies in its parent's, covers and validates it.  A solver's tree needs
+no other rewrite.  sanitize serves foreign decompositions: it contracts
+the same way, and also prunes adhesion vertices with no neighbour in
+their component and splits disconnected components, then re-derives
+minimum covers.  Both general solvers reach disconnected graphs through
+solve_per_component.
 """
 
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import or_
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .bitset import bit_list, bits, lowest_bit
 from .cover import Cover, CoverOracle
@@ -166,19 +168,69 @@ def anatomy(d: AugmentedTreeDecomposition, t: int) -> NodeAnatomy:
     return NodeAnatomy(adhesion, d.bags[t] & ~adhesion, cone, cone & ~adhesion)
 
 
-def from_bag_tree(g: Graph, root: BagTree, cover: Cover) -> AugmentedTreeDecomposition:
-    """Sanitize a solver's nested (bag, children) tree: nodes numbered
-    in preorder, children in list order, bags covered from cover."""
+def _contract(parents: List[int], bags: List[int], kids: Dict[int, List[int]]) -> None:
+    """Contract, lowest node first, each node whose bag contains or lies
+    in its parent's into that parent, which keeps the union and adopts
+    the node's children; kids maps each live node to its children, both
+    in increasing order.  In a valid decomposition a contraction makes
+    no pair comparable that was not, so one pass over the nodes
+    comparable at the start, each contracted if it still is, makes the
+    contractions that restarting from the lowest node would."""
+
+    def comparable(t: int) -> bool:
+        p = parents[t]
+        return p >= 0 and bags[t] | bags[p] in (bags[t], bags[p])
+
+    for c in [t for t in kids if comparable(t)]:
+        if comparable(c):
+            p = parents[c]
+            bags[p] |= bags[c]
+            moved = kids.pop(c)
+            for u in moved:
+                parents[u] = p
+            kids[p] = sorted([u for u in kids[p] if u != c] + moved)
+
+
+def _renumbered(g: Graph, parents: List[int], bags: List[int], kids: Dict[int, List[int]],
+                partition: Callable[[int], Iterable[int]]) -> AugmentedTreeDecomposition:
+    """The tree under node 0 renumbered breadth-first, children in (bag,
+    node) order, each bag covered by partition; raises RuntimeError if
+    it is not a decomposition of g."""
+    order = [0]
+    for t in order:
+        order.extend(sorted(kids[t], key=lambda i: (bags[i], i)))
+    pos = {t: i for i, t in enumerate(order)}
+    out = AugmentedTreeDecomposition(
+        (-1,) + tuple(pos[parents[t]] for t in order[1:]),
+        tuple(bags[t] for t in order),
+        tuple(tuple(sorted(partition(bags[t]))) for t in order))
+    rep = validate(g, out)
+    if not rep.ok:
+        raise RuntimeError(f"rebuilt tree is not a decomposition: {rep}")
+    return out
+
+
+def from_bag_tree(g: Graph, root: BagTree,
+                  partition: Callable[[int], Iterable[int]]) -> AugmentedTreeDecomposition:
+    """A solver's nested (bag, children) tree as a witness: nodes
+    numbered in preorder, children in list order, then contracted,
+    renumbered, covered by partition and validated as sanitize does.
+    A solver's tree needs none of sanitize's other rewrites."""
     parents: List[int] = []
     bags: List[int] = []
+    kids: Dict[int, List[int]] = {}
     stack: List[Tuple[BagTree, int]] = [(root, -1)]
     while stack:
         (bag, children), parent = stack.pop()
-        stack.extend((ch, len(parents)) for ch in reversed(children))
+        t = len(bags)
+        stack.extend((ch, t) for ch in reversed(children))
         parents.append(parent)
         bags.append(bag)
-    covers = tuple(tuple(sorted(cover.partition(b))) for b in bags)
-    return sanitize(g, AugmentedTreeDecomposition(tuple(parents), tuple(bags), covers), cover)
+        kids[t] = []
+        if parent >= 0:
+            kids[parent].append(t)
+    _contract(parents, bags, kids)
+    return _renumbered(g, parents, bags, kids, partition)
 
 
 def sanitize(g: Graph, d: AugmentedTreeDecomposition,
@@ -212,17 +264,7 @@ def sanitize(g: Graph, d: AugmentedTreeDecomposition,
         if p >= 0:
             kids[p].append(t)
 
-    def rewrite() -> bool:
-        for c in kids:
-            p = parents[c]
-            if p >= 0 and bags[c] | bags[p] in (bags[c], bags[p]):
-                # keep the superset at the parent slot
-                bags[p] |= bags[c]
-                moved = kids.pop(c)
-                for u in moved:
-                    parents[u] = p
-                kids[p] = sorted([u for u in kids[p] if u != c] + moved)
-                return True
+    def prune_or_split() -> bool:
         split = None
         for t in kids:
             par = parents[t]
@@ -269,32 +311,13 @@ def sanitize(g: Graph, d: AugmentedTreeDecomposition,
 
     steps = 0
     cap = 200 + 40 * len(bags) * max(1, g.n)
-    while rewrite():
+    _contract(parents, bags, kids)
+    while prune_or_split():
+        _contract(parents, bags, kids)
         steps += 1
         if steps > cap:
             raise RuntimeError("sanitize failed to converge")
-
-    # renumber breadth-first from the surviving root
-    roots = [t for t in kids if parents[t] == -1]
-    if len(roots) != 1:
-        raise RuntimeError("sanitize lost the root")
-    order = [roots[0]]
-    pos = {roots[0]: 0}
-    queue = [roots[0]]
-    while queue:
-        t = queue.pop(0)
-        for c in sorted(kids[t], key=lambda i: (bags[i], i)):
-            pos[c] = len(order)
-            order.append(c)
-            queue.append(c)
-    new_parents = tuple(-1 if parents[t] < 0 else pos[parents[t]] for t in order)
-    new_bags = tuple(bags[t] for t in order)
-    new_covers = tuple(tuple(sorted(cover.partition(b))) for b in new_bags)
-    out = AugmentedTreeDecomposition(new_parents, new_bags, new_covers)
-    rep = validate(g, out)
-    if not rep.ok:
-        raise RuntimeError(f"sanitize broke the decomposition: {rep}")
-    return out
+    return _renumbered(g, parents, bags, kids, cover.partition)
 
 
 def relabel(d: AugmentedTreeDecomposition, verts: Sequence[int]) -> AugmentedTreeDecomposition:

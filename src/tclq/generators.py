@@ -123,7 +123,8 @@ def gen_corpora(seed: int, family: str, **params) -> List:
             out.append((pi, inversion_graph(pi)))
         elif family == "reduction":
             base = gen_random(rng, params["n"], params.get("p", 0.5), connected=True)
-            out.append(gen_reduction_H(base, params.get("apexes") or base.n + 1))
+            apexes = params.get("apexes")
+            out.append(gen_reduction_H(base, base.n + 1 if apexes is None else apexes))
         else:
             raise ValueError(f"unknown family {family!r}")
     return out

@@ -26,17 +26,18 @@ A crossing set is the join of its sides L (top <= t, bottom > b) and R
 permutation graphs are perfect (Golumbic 1980), a side's cover is its
 longest chain of non-crossing lines, and the set's is the larger one.
 
-The witness is the bottleneck DP's own path.  A bag contained in a
-neighbouring bag is dropped: its vertices all lie in that neighbour, so
-every vertex still sits in consecutive bags, every edge in some bag, and
-the width does not grow.
+The witness is the bottleneck DP's own path, handed to from_bag_tree
+as a bag tree rooted at the step from (0, 0), covered by the pile
+partition.  Its contraction merges each bag contained in a neighbouring
+bag into that neighbour, so the width does not grow.
 """
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import partial
 from typing import List, NamedTuple, Sequence, Tuple
 
-from .decomposition import AugmentedTreeDecomposition, validate
+from .decomposition import AugmentedTreeDecomposition, BagTree, from_bag_tree
 from .graph import Graph
 
 
@@ -149,12 +150,11 @@ def _bottleneck(d: PermutationDiagram) -> List[List[int]]:
     return best
 
 
-def _witness(d: PermutationDiagram, best: List[List[int]]) -> AugmentedTreeDecomposition:
-    """The path decomposition along the path of ``best``.  Walking back
-    from (n, n), the top step is taken whenever best[t-1][b] <= best[t][b]
-    (it attains best[t][b]), and no kept bag is contained in a neighbour.
-    A step's bag is the larger of its two ends' crossing sets, and its
-    covers are the pile partition.
+def _witness(d: PermutationDiagram, best: List[List[int]]) -> BagTree:
+    """The path of ``best`` as a bag tree rooted at the step from (0, 0).
+    Walking back from (n, n), the top step is taken whenever
+    best[t-1][b] <= best[t][b] (it attains best[t][b]).  A step's bag is
+    the larger of its two ends' crossing sets.
     """
     below = [0]  # below[b]: the lines with bottom position at most b
     for value in d.pi:
@@ -163,7 +163,7 @@ def _witness(d: PermutationDiagram, best: List[List[int]]) -> AugmentedTreeDecom
     def cross(t: int, b: int) -> int:
         return ((1 << t) - 1) ^ below[b]
 
-    kept: List[int] = []
+    path: List[BagTree] = []  # the subtree below the next step walked back to
     t = b = d.n
     while t or b:
         if t and best[t - 1][b] <= best[t][b]:
@@ -172,14 +172,8 @@ def _witness(d: PermutationDiagram, best: List[List[int]]) -> AugmentedTreeDecom
         else:
             bag = cross(t, b) | cross(t, b - 1)
             b -= 1
-        if kept and bag & ~kept[-1] == 0:
-            continue
-        while kept and kept[-1] & ~bag == 0:
-            kept.pop()
-        kept.append(bag)
-    kept = kept[::-1] or [0]  # the empty permutation has one empty bag
-    covers = tuple(tuple(sorted(_cover_piles(d, bag))) for bag in kept)
-    return AugmentedTreeDecomposition(tuple(range(-1, len(kept) - 1)), tuple(kept), covers)
+        path = [(bag, path)]
+    return path[0] if path else (0, [])  # the empty permutation has one empty bag
 
 
 def compute_tcl(pi: Sequence[int]) -> int:
@@ -189,12 +183,8 @@ def compute_tcl(pi: Sequence[int]) -> int:
 
 def solve(pi: Sequence[int]) -> Tuple[int, AugmentedTreeDecomposition]:
     """tcl(G[pi]) and a path decomposition of that width, from one DP
-    table, validated against G[pi] as sanitize validates the solvers'
-    witnesses."""
+    table."""
     d = diagram(pi)
     best = _bottleneck(d)
-    witness = _witness(d, best)
-    rep = validate(inversion_graph(pi), witness)
-    if not rep.ok:
-        raise RuntimeError(f"scanline witness is not a decomposition: {rep}")
-    return best[-1][-1], witness
+    return best[-1][-1], from_bag_tree(inversion_graph(pi), _witness(d, best),
+                                       partial(_cover_piles, d))

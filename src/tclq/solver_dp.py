@@ -87,8 +87,8 @@ def decide_tcl_at_most_k(
     separators: Optional[List[int]] = None,
     sweeps: Optional[Dict[int, List[Tuple[int, int]]]] = None,
 ) -> Tuple[bool, Optional[AugmentedTreeDecomposition]]:
-    """Decide tcl(G) <= k for connected G; on yes, return a sanitized
-    witness decomposition of width at most k.
+    """Decide tcl(G) <= k for connected G; on yes, return a witness
+    decomposition of width at most k.
 
     cover supplies at_most(s, k) and partition(s) (a CoverOracle or a
     CoverTable of G).  The optional entries dict collects the answered
@@ -104,7 +104,7 @@ def decide_tcl_at_most_k(
         raise ValueError("decision procedure requires a connected graph")
     at_most = cover.at_most
     if at_most(g.full, k):
-        return True, from_bag_tree(g, (g.full, []), cover)
+        return True, from_bag_tree(g, (g.full, []), cover.partition)
     if entries is None:
         entries = {}
     if sweeps is None:
@@ -157,7 +157,7 @@ def decide_tcl_at_most_k(
         if at_most(s, k):
             kids = all_yes(sweep(g.full & ~s))
             if kids is not None:
-                return True, from_bag_tree(g, (s, kids), cover)
+                return True, from_bag_tree(g, (s, kids), cover.partition)
     return False, None
 
 

@@ -165,7 +165,7 @@ def tcl_via_pmc(g: Graph, catalog: PmcCatalog) -> Tuple[int, AugmentedTreeDecomp
         bag, subs = pick[blk]
         return bag, [block_witness(sub) for sub in subs]
 
-    return val[root], from_bag_tree(g, block_witness(root), cover)
+    return val[root], from_bag_tree(g, block_witness(root), cover.partition)
 
 
 def _tcl_connected(g: Graph) -> Tuple[int, AugmentedTreeDecomposition]:

@@ -2,6 +2,7 @@
 
 import sys
 from itertools import combinations
+from types import SimpleNamespace
 from typing import Dict, List, Optional
 
 import pytest
@@ -44,6 +45,29 @@ def decomp(parents, bags, covers) -> AugmentedTreeDecomposition:
     return AugmentedTreeDecomposition(
         tuple(parents), tuple(bags), tuple(tuple(c) for c in covers)
     )
+
+
+def numbered_bag_tree(root, partition) -> AugmentedTreeDecomposition:
+    """A solver's nested (bag, children) tree as it stands: nodes
+    numbered in preorder, children in list order, each bag covered by
+    partition."""
+    parents: List[int] = []
+    bags: List[int] = []
+    stack = [(root, -1)]
+    while stack:
+        (bag, children), parent = stack.pop()
+        stack.extend((ch, len(bags)) for ch in reversed(children))
+        parents.append(parent)
+        bags.append(bag)
+    return decomp(parents, bags, [sorted(partition(b)) for b in bags])
+
+
+def raw_trees(calls: list) -> list:
+    """(g, numbered tree, cover) for each from_bag_tree call in calls,
+    as captured by count_calls; the cover reads the call's partition,
+    so sanitize covers with it too."""
+    return [(g, numbered_bag_tree(root, partition), SimpleNamespace(partition=partition))
+            for g, root, partition in calls]
 
 
 def perturb(rng, g: Graph, d: AugmentedTreeDecomposition) -> AugmentedTreeDecomposition:
@@ -419,7 +443,7 @@ def reference_tcl_via_pmc(g: Graph):
     minimal separators, to it, value and witness."""
     catalog, cov = build_catalog(g)
     if not catalog.separators:
-        return cov.value(g.full), from_bag_tree(g, (g.full, []), cov)
+        return cov.value(g.full), from_bag_tree(g, (g.full, []), cov.partition)
     pmc_vcc = {p: cov.value(p) for p in catalog.pmcs}
     sep_vcc = {s: cov.value(s) for s in catalog.separators}
     blocks = [(s, c) for s in catalog.separators
@@ -461,7 +485,7 @@ def reference_tcl_via_pmc(g: Graph):
         return omega, [witness(nd, d) for d, nd in g.component_neighborhoods(part & ~omega)]
 
     root = (best_sep, [witness(nc, c) for c, nc in g.component_neighborhoods(g.full & ~best_sep)])
-    return best_total, from_bag_tree(g, root, cov)
+    return best_total, from_bag_tree(g, root, cov.partition)
 
 
 def is_p4_free(g: Graph) -> bool:

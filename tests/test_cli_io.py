@@ -223,6 +223,13 @@ class TestReduction:
         with pytest.raises(ValueError, match="apex count"):
             gen_reduction_H(complete(3), 3)
 
+    @pytest.mark.parametrize("apexes", ["0", "3"])
+    def test_too_few_apexes_exit_two(self, apexes, capsys):
+        # 0 is a count, not a missing option: it must not become n + 1
+        argv = ["gen", "--family", "reduction", "--seed", "1", "--n", "4", "--apexes", apexes]
+        assert main(argv) == 2
+        assert "apex count must be at least 4" in capsys.readouterr().err
+
 
 class TestGenCorpora:
     def test_ktree_chordal(self):

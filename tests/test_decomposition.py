@@ -1,12 +1,14 @@
 """Decomposition model: validation report, width, anatomy, sanitize."""
 
 import hashlib
+import itertools
 import random
 
 import pytest
 
-from tclq import decomposition, generators, io, solver_dp, solver_pmc
+from tclq import decomposition, generators, io, permutation, solver_dp, solver_pmc
 from tclq.bitset import bits, mask_of
+from tclq.cli import main
 from tclq.cover import CoverOracle, lawler_table
 from tclq.decomposition import (
     AugmentedTreeDecomposition,
@@ -27,9 +29,12 @@ from helpers import (
     count_calls,
     cycle,
     decomp,
+    forbid,
     merge_siblings,
+    numbered_bag_tree,
     path,
     perturb,
+    raw_trees,
     reference_sanitize,
     reference_validate,
     star,
@@ -465,16 +470,17 @@ class TestSanitizeMatchesReference:
         graphs = rng.sample(connected_graphs(6), 30)
         graphs += [generators.gen_random(rng, n, p, connected=True)
                    for n in (7, 8, 9, 10) for p in (0.3, 0.5)]
-        raw = count_calls(monkeypatch, sanitize)
+        calls = count_calls(monkeypatch, decomposition.from_bag_tree)
         witnesses = []
         for g in graphs:
             witnesses += [(g, solver_dp.compute_tcl(g)[1]), (g, solver_pmc.compute_tcl(g)[1])]
         monkeypatch.undo()
-        # the solvers' bag trees exactly as they reached sanitize
-        assert raw
+        # the solvers' bag trees exactly as they reached from_bag_tree
+        assert calls
+        raw = raw_trees(calls)
         for args in raw:
             self.assert_same(*args)
-        for g, d in witnesses:
+        for g, d in witnesses + [(g, d) for g, d, _ in raw]:
             self.assert_same(g, d)
             messy = perturb(rng, g, d)
             self.assert_same(g, messy)
@@ -509,14 +515,16 @@ class TestSanitizeMatchesReference:
         assert width(out) == 2
         self.assert_same(g, d)
 
-    def test_builder_calls_sanitize_through_the_module(self, monkeypatch):
+    def test_builder_makes_no_sanitize_call(self, monkeypatch):
         # nodes are numbered in preorder, children in list order
         g = path(5)
         a, b, c, e = mask_of([2]), mask_of([1, 2]), mask_of([0, 1]), mask_of([2, 3, 4])
+        tree = (a, [(b, [(c, [])]), (e, [])])
         calls = count_calls(monkeypatch, decomposition.sanitize)
-        d = decomposition.from_bag_tree(g, (a, [(b, [(c, [])]), (e, [])]), CoverOracle(g))
-        assert len(calls) == 1
-        raw = calls[0][1]
+        d = decomposition.from_bag_tree(g, tree, CoverOracle(g).partition)
+        assert not calls
+        monkeypatch.undo()
+        raw = numbered_bag_tree(tree, CoverOracle(g).partition)
         assert raw.parents == (-1, 0, 1, 0)
         assert raw.bags == (a, b, c, e)
         assert validate(g, raw).ok and [len(c) for c in raw.covers] == [1, 1, 1, 2]
@@ -525,26 +533,100 @@ class TestSanitizeMatchesReference:
 
 class TestSolverTreesNeedOnlyContractions:
     """Each solver's raw bag tree is sane up to contractions: sanitize
-    neither prunes nor splits it, so every bag of the witness is a bag
-    the solver built."""
+    would neither prune nor split it, so every bag of the witness is a
+    bag the solver built."""
 
     def test_witness_bags_are_raw_bags(self, connected_to_6, monkeypatch):
         rng = random.Random("raw-trees-contract-only")
         graphs = list(connected_to_6)
         graphs += [generators.gen_random(rng, n, p, connected=True)
                    for n in range(7, 13) for p in (0.2, 0.4, 0.6)]
-        raw = count_calls(monkeypatch, sanitize)
+        raw = count_calls(monkeypatch, decomposition.from_bag_tree)
         contracted = 0
         for solve in (solver_dp.compute_tcl, solver_pmc.compute_tcl):
             for g in graphs:
                 del raw[:]
                 d = solve(g)[1]
                 if g.is_clique(g.full):
-                    # a clique component is one bag, with no sanitize
+                    # a clique component is one bag, built by neither solver
                     assert not raw and d.bags == (g.full,)
                     continue
                 assert len(raw) == 1 and raw[0][0] is g
-                bags = raw[0][1].bags
+                bags = numbered_bag_tree(raw[0][1], raw[0][2]).bags
                 assert set(d.bags) <= set(bags), (solve.__module__, g)
                 contracted += len(d.bags) < len(bags)
         assert contracted
+
+
+class TestOneWitnessBuilder:
+    """All three exact solvers build their witnesses with from_bag_tree.
+    Contraction can hide a broken raw tree, so each raw tree must itself
+    be a valid decomposition.  A general solver's witness must be what
+    sanitize makes of its raw tree; a scanline path need not be sane, as
+    sanitize would split a path {0, 1}, {0, 2}, {0, 3} of K1,3 into a
+    star."""
+
+    @staticmethod
+    def check(calls, sane=True):
+        assert calls
+        for (g, root, partition), (_, raw, cover) in zip(calls, raw_trees(calls)):
+            assert validate(g, raw).ok, (g, raw)
+            if sane:
+                assert decomposition.from_bag_tree(g, root, partition) == sanitize(g, raw, cover), g
+
+    def test_general_solvers_connected_to_7(self, connected_to_6, monkeypatch):
+        calls = count_calls(monkeypatch, decomposition.from_bag_tree)
+        for g in list(connected_to_6) + connected_graphs(7):
+            solver_dp.compute_tcl(g)
+            solver_pmc.compute_tcl(g)
+        monkeypatch.undo()
+        self.check(calls)
+
+    @pytest.mark.parametrize("n", range(8, 15))
+    def test_general_solvers_seeded(self, n, monkeypatch):
+        rng = random.Random(f"one-witness-builder:{n}")
+        graphs = [generators.gen_random(rng, n, p, connected=True) for p in (0.2, 0.35, 0.5, 0.7)]
+        calls = count_calls(monkeypatch, decomposition.from_bag_tree)
+        for g in graphs:
+            solver_dp.compute_tcl(g)
+            solver_pmc.compute_tcl(g)
+        monkeypatch.undo()
+        self.check(calls)
+
+    def test_scanline_solver_to_6(self, monkeypatch):
+        calls = count_calls(monkeypatch, decomposition.from_bag_tree)
+        for n in range(7):
+            for pi in itertools.permutations(range(1, n + 1)):
+                permutation.solve(list(pi))
+        monkeypatch.undo()
+        self.check(calls, sane=False)
+
+    def test_no_solve_route_calls_sanitize(self, tmp_path, monkeypatch, capsys):
+        forbid(monkeypatch, sanitize, "a solve route called sanitize")
+        built = count_calls(monkeypatch, decomposition.from_bag_tree)
+        col, perm = tmp_path / "g.col", tmp_path / "p.pi"
+        col.write_text(io.serialize_graph(cycle(6)))
+        pi = [3, 6, 1, 5, 2, 4]
+        perm.write_text(io.serialize_permutation(pi))
+        for source in (["--input", str(col), "--algo", "dp"],
+                       ["--input", str(col), "--algo", "pmc"],
+                       ["--perm", str(perm)]):
+            del built[:]
+            assert main(["solve", *source, "--out", str(tmp_path / "d.tcd")]) == 0
+            assert len(built) == 1, source
+        k = permutation.compute_tcl(pi)
+        assert capsys.readouterr().out.split() == ["tcl", "2", "tcl", "2", "tcl", str(k)]
+
+    def test_long_scanline_path(self, monkeypatch):
+        # the raw path has one step per line endpoint, 1,400 here, deeper
+        # than the default recursion limit of 1,000
+        pi = generators.gen_permutation(random.Random("one-witness-builder:700"), 700)
+        calls = count_calls(monkeypatch, decomposition.from_bag_tree)
+        k, d = permutation.solve(pi)
+        (_, node, _), = calls
+        depth = 0
+        while node:
+            depth += 1
+            node = node[1][0] if node[1] else None
+        assert depth == 1400
+        assert validate(permutation.inversion_graph(pi), d).ok and width(d) == k

@@ -11,7 +11,7 @@ import pytest
 from tclq import permutation
 from tclq.bitset import mask_of
 from tclq.cover import vcc
-from tclq.decomposition import AugmentedTreeDecomposition, validate, width
+from tclq.decomposition import validate, width
 from tclq.generators import gen_permutation
 from tclq.io import serialize_decomposition
 from tclq.permutation import (
@@ -276,12 +276,20 @@ class TestScanlineGrid:
     def test_solve_rejects_a_broken_witness(self, monkeypatch):
         witness = permutation._witness
 
-        def drop_last_bag(d, best):
-            w = witness(d, best)
-            return AugmentedTreeDecomposition(w.parents[:-1], w.bags[:-1], w.covers[:-1])
+        def drop_lines_three_and_four(d, best):
+            steps, node = [], witness(d, best)
+            while node:
+                steps.append(node[0])
+                node = node[1][0] if node[1] else None
+            path = []
+            for bag in reversed(steps):
+                if not bag & mask_of([2, 3]):
+                    path = [(bag, path)]
+            return path[0]
 
-        monkeypatch.setattr(permutation, "_witness", drop_last_bag)
-        # two crossing pairs: bags {0, 1} and {2, 3}, so the last bag holds 2 and 3 alone
+        monkeypatch.setattr(permutation, "_witness", drop_lines_three_and_four)
+        # two crossing pairs: the path's steps cover {0, 1}, then {2, 3},
+        # so dropping the steps that meet lines 3 and 4 leaves 2 and 3 out
         with pytest.raises(RuntimeError, match=r"vertices \[2, 3\] in no bag"):
             solve([2, 1, 4, 3])
 
