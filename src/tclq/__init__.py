@@ -30,16 +30,14 @@ from .graph import (
     enumerate_minimal_separators,
     is_pmc,
 )
-from .oracle import BudgetExceededError, OracleBudget, brute_chromatic, brute_pmcs, tcl_oracle
+from .oracle import brute_chromatic, brute_pmcs, tcl_oracle
 from .solver_pmc import PmcCatalog, build_catalog, tcl_via_pmc
 
 __all__ = [
     "AugmentedTreeDecomposition",
-    "BudgetExceededError",
     "CapacityError",
     "CoverTable",
     "Graph",
-    "OracleBudget",
     "PmcCatalog",
     "brute_chromatic",
     "brute_pmcs",

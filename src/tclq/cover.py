@@ -70,13 +70,14 @@ if struct.calcsize("I") != LANE_BYTES or TABLE_MAX_N + 3 >= LANE:
 
 
 class CapacityError(Exception):
-    """Raised when a graph is above CAP, or above TABLE_MAX_N for an
-    operation that builds a subset table."""
+    """The one refusal of an input past a size limit: a component above
+    CAP, a subset table above TABLE_MAX_N, or a limit of the command line
+    or the oracle.  The command line exits 3 on it."""
 
 
 def check_cap(g: Graph) -> None:
     if g.n > CAP:
-        raise CapacityError(f"n={g.n} exceeds the cap of {CAP} vertices")
+        raise CapacityError(f"n={g.n} exceeds the component limit of {CAP} vertices")
 
 
 def check_table_size(n: int) -> None:

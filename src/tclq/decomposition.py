@@ -19,10 +19,10 @@ solve_per_component.
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import or_
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 from .bitset import bit_list, bits, lowest_bit
-from .cover import Cover, CoverOracle
+from .cover import CoverOracle
 from .graph import Graph, expand_mask
 
 
@@ -233,8 +233,7 @@ def from_bag_tree(g: Graph, root: BagTree,
     return _renumbered(g, parents, bags, kids, partition)
 
 
-def sanitize(g: Graph, d: AugmentedTreeDecomposition,
-             cover: Optional[Cover] = None) -> AugmentedTreeDecomposition:
+def sanitize(g: Graph, d: AugmentedTreeDecomposition) -> AugmentedTreeDecomposition:
     """Normalize a valid decomposition into a sane one.
 
     Applies one mass-reducing rewrite at a time until none applies, in
@@ -244,13 +243,10 @@ def sanitize(g: Graph, d: AugmentedTreeDecomposition,
     component from its whole subtree; split the lowest non-root node
     whose component is disconnected into per-piece clones of its
     subtree, bags clipped to piece plus adhesion.  Afterwards every
-    bag's cover is a minimum clique partition read from cover (the
-    caller's cover source of g, by default a fresh CoverOracle), and
-    nodes are renumbered breadth-first.  Bags only ever shrink, so the
-    width never increases.
+    bag's cover is a minimum clique partition from a fresh CoverOracle
+    of g, and nodes are renumbered breadth-first.  Bags only ever
+    shrink, so the width never increases.
     """
-    if cover is None:
-        cover = CoverOracle(g)
     rep = validate(g, d)
     if not rep.ok:
         raise ValueError(f"sanitize requires a valid decomposition: {rep}")
@@ -317,7 +313,7 @@ def sanitize(g: Graph, d: AugmentedTreeDecomposition,
         steps += 1
         if steps > cap:
             raise RuntimeError("sanitize failed to converge")
-    return _renumbered(g, parents, bags, kids, cover.partition)
+    return _renumbered(g, parents, bags, kids, CoverOracle(g).partition)
 
 
 def relabel(d: AugmentedTreeDecomposition, verts: Sequence[int]) -> AugmentedTreeDecomposition:

@@ -4,25 +4,18 @@ Everything here is deliberately independent of the production solvers: the
 chromatic number is exhaustive backtracking, tree-clique width follows the
 recursive k-decomposability characterization (separate, complete the
 separator, recurse), and PMCs are collected from explicitly enumerated
-minimal triangulations.  All operations are budgeted and refuse inputs
-above their caps instead of running unbounded.
+minimal triangulations.  brute_chromatic, tcl_oracle and brute_pmcs
+refuse a graph above their max_n, and tcl_oracle a search past
+MAX_STEPS, with CapacityError instead of running unbounded.
 """
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .bitset import bit_list, bits, submasks
+from .cover import CapacityError
 from .graph import Graph, enumerate_maximal_independent_sets
 
-
-@dataclass(frozen=True)
-class OracleBudget:
-    max_n: int = 10
-    max_steps: int = 20_000_000
-
-
-class BudgetExceededError(Exception):
-    pass
+MAX_STEPS = 20_000_000
 
 
 def _chromatic_of_masks(adj: List[int], n: int) -> int:
@@ -64,10 +57,9 @@ def _chromatic_of_masks(adj: List[int], n: int) -> int:
     return n
 
 
-def brute_chromatic(g: Graph, budget: Optional[OracleBudget] = None) -> int:
-    b = budget or OracleBudget()
-    if g.n > b.max_n:
-        raise BudgetExceededError(f"n={g.n} exceeds oracle cap {b.max_n}")
+def brute_chromatic(g: Graph, *, max_n: int = 10) -> int:
+    if g.n > max_n:
+        raise CapacityError(f"n={g.n} exceeds the oracle limit of {max_n} vertices")
     return _chromatic_of_masks(list(g.adj), g.n)
 
 
@@ -85,7 +77,7 @@ def _vcc_masks(adj: List[int], sub: int) -> int:
     return _chromatic_of_masks(comp, m)
 
 
-def tcl_oracle(g: Graph, budget: Optional[OracleBudget] = None) -> int:
+def tcl_oracle(g: Graph, *, max_n: int = 10) -> int:
     """Smallest k such that G is k-decomposable.
 
     A graph is k-decomposable when its vertex clique cover number is at
@@ -100,9 +92,8 @@ def tcl_oracle(g: Graph, budget: Optional[OracleBudget] = None) -> int:
     gluing back into G.  Disconnected inputs take the maximum over
     components.
     """
-    b = budget or OracleBudget()
-    if g.n > b.max_n:
-        raise BudgetExceededError(f"n={g.n} exceeds oracle cap {b.max_n}")
+    if g.n > max_n:
+        raise CapacityError(f"n={g.n} exceeds the oracle limit of {max_n} vertices")
     if g.n == 0:
         return 0
     comps = g.components_within(g.full)
@@ -110,7 +101,7 @@ def tcl_oracle(g: Graph, budget: Optional[OracleBudget] = None) -> int:
         out = 0
         for c in comps:
             sub, _ = g.induced_subgraph(c)
-            out = max(out, tcl_oracle(sub, budget=b))
+            out = max(out, tcl_oracle(sub, max_n=max_n))
         return out
 
     n = g.n
@@ -121,8 +112,8 @@ def tcl_oracle(g: Graph, budget: Optional[OracleBudget] = None) -> int:
 
     def tick(units: int = 1) -> None:
         steps[0] += units
-        if steps[0] > b.max_steps:
-            raise BudgetExceededError(f"step budget {b.max_steps} exceeded")
+        if steps[0] > MAX_STEPS:
+            raise CapacityError(f"n={n} exceeds the oracle step limit of {MAX_STEPS} steps")
 
     def cur_adj(mask: int, extra: Tuple[int, ...]) -> List[int]:
         return [(base_adj[v] | extra[v]) & mask if mask >> v & 1 else 0 for v in range(n)]
@@ -253,17 +244,13 @@ def _maximal_cliques_by_filter(g: Graph) -> List[int]:
     return sorted(out)
 
 
-def brute_pmcs(g: Graph, budget: Optional[OracleBudget] = None) -> List[int]:
+def brute_pmcs(g: Graph, *, max_n: int = 7) -> List[int]:
     """Potential maximal cliques from first principles: enumerate the
     minimal triangulations (one per maximal family of pairwise
     non-crossing minimal separators) and collect their maximal cliques.
-
-    Refuses n > 7 by default; pass a budget with a higher max_n to
-    override.
     """
-    cap = 7 if budget is None else budget.max_n
-    if g.n > cap:
-        raise BudgetExceededError(f"n={g.n} exceeds brute_pmcs cap {cap}")
+    if g.n > max_n:
+        raise CapacityError(f"n={g.n} exceeds the brute_pmcs limit of {max_n} vertices")
     if g.n == 0:
         return []
     seps = brute_minimal_separators(g)

@@ -35,15 +35,11 @@ bag into that neighbour, so the width does not grow.
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import partial
-from typing import List, NamedTuple, Sequence, Tuple
+from operator import le
+from typing import Iterator, List, Sequence, Tuple
 
 from .decomposition import AugmentedTreeDecomposition, BagTree, from_bag_tree
 from .graph import Graph
-
-
-class Scanline(NamedTuple):
-    top: int
-    bottom: int
 
 
 @dataclass(frozen=True)
@@ -79,15 +75,6 @@ def inversion_graph(pi: Sequence[int]) -> Graph:
     return Graph(n, adj)
 
 
-def crossing_lines(d: PermutationDiagram, s: Scanline) -> int:
-    """Lines with exactly one endpoint on each side of the scanline."""
-    m = 0
-    for v in range(d.n):
-        if (v + 1 <= s.top) != (d.pi_inverse[v] <= s.bottom):
-            m |= 1 << v
-    return m
-
-
 def _cover_piles(d: PermutationDiagram, lines: int) -> List[int]:
     """Greedy partition of a line set into cliques (pairwise-crossing piles).
 
@@ -114,13 +101,10 @@ def _cover_piles(d: PermutationDiagram, lines: int) -> List[int]:
     return piles
 
 
-def cover_of_line_set(d: PermutationDiagram, lines: int) -> int:
-    return len(_cover_piles(d, lines))
-
-
-def _bottleneck(d: PermutationDiagram) -> List[List[int]]:
-    """best[t][b] = max(cover(t, b), min(best[t-1][b], best[t][b-1])), the
-    least largest step cover over the unit-step paths from (0, 0) to (t, b).
+def _rows(d: PermutationDiagram) -> Iterator[List[int]]:
+    """The rows best[0..n] in turn, where best[t][b] = max(cover(t, b),
+    min(best[t-1][b], best[t][b-1])) is the least largest step cover
+    over the unit-step paths from (0, 0) to (t, b).
 
     Row t sweeps the bottom positions twice, patience sorting each side's
     tops into piles, whose count is the side's cover: down from b = n, L
@@ -128,7 +112,6 @@ def _bottleneck(d: PermutationDiagram) -> List[List[int]]:
     gains the line at bottom b if its top is above t.
     """
     n, pi = d.n, d.pi
-    best: List[List[int]] = []
     above = [0] + [n + 1] * n  # before row 0 only (0, 0) is reached, at 0
     for t in range(n + 1):
         row = [0] * (n + 1)
@@ -145,16 +128,29 @@ def _bottleneck(d: PermutationDiagram) -> List[List[int]]:
                 i = bisect_right(lasts, pi[b - 1])
                 lasts[i:i + 1] = [pi[b - 1]]
             left = row[b] = max(row[b], len(lasts), min(above[b], left))
-        best.append(row)
+        yield row
         above = row
-    return best
 
 
-def _witness(d: PermutationDiagram, best: List[List[int]]) -> BagTree:
-    """The path of ``best`` as a bag tree rooted at the step from (0, 0).
+def _bottleneck(d: PermutationDiagram) -> Tuple[int, List[bytes]]:
+    """best[n][n], and for each row t >= 1 the bytes tops[t-1] whose entry
+    b is 1 iff best[t-1][b] <= best[t][b], the walk's one question of
+    the table.  Of the rows only the running one is kept: n + 1 bytes a
+    row in place of n + 1 ints."""
+    tops: List[bytes] = []
+    above: List[int] = []
+    for row in _rows(d):
+        if above:
+            tops.append(bytes(map(le, above, row)))
+        above = row
+    return above[-1], tops
+
+
+def _witness(d: PermutationDiagram, tops: List[bytes]) -> BagTree:
+    """The DP's path as a bag tree rooted at the step from (0, 0).
     Walking back from (n, n), the top step is taken whenever
-    best[t-1][b] <= best[t][b] (it attains best[t][b]).  A step's bag is
-    the larger of its two ends' crossing sets.
+    tops[t-1][b] says best[t-1][b] <= best[t][b] (it attains best[t][b]).
+    A step's bag is the larger of its two ends' crossing sets.
     """
     below = [0]  # below[b]: the lines with bottom position at most b
     for value in d.pi:
@@ -166,7 +162,7 @@ def _witness(d: PermutationDiagram, best: List[List[int]]) -> BagTree:
     path: List[BagTree] = []  # the subtree below the next step walked back to
     t = b = d.n
     while t or b:
-        if t and best[t - 1][b] <= best[t][b]:
+        if t and tops[t - 1][b]:
             bag = cross(t, b) | cross(t - 1, b)
             t -= 1
         else:
@@ -178,13 +174,12 @@ def _witness(d: PermutationDiagram, best: List[List[int]]) -> BagTree:
 
 def compute_tcl(pi: Sequence[int]) -> int:
     """tcl(G[pi]), from the bottleneck DP alone."""
-    return _bottleneck(diagram(pi))[-1][-1]
+    return _bottleneck(diagram(pi))[0]
 
 
 def solve(pi: Sequence[int]) -> Tuple[int, AugmentedTreeDecomposition]:
     """tcl(G[pi]) and a path decomposition of that width, from one DP
     table."""
     d = diagram(pi)
-    best = _bottleneck(d)
-    return best[-1][-1], from_bag_tree(inversion_graph(pi), _witness(d, best),
-                                       partial(_cover_piles, d))
+    k, tops = _bottleneck(d)
+    return k, from_bag_tree(inversion_graph(pi), _witness(d, tops), partial(_cover_piles, d))

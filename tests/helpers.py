@@ -2,7 +2,6 @@
 
 import sys
 from itertools import combinations
-from types import SimpleNamespace
 from typing import Dict, List, Optional
 
 import pytest
@@ -10,7 +9,7 @@ import pytest
 from tclq import cover, graph, io
 from tclq.bitset import bits, mask_of
 from tclq.cli import main
-from tclq.cover import Cover, CoverOracle
+from tclq.cover import CoverOracle
 from tclq.decomposition import (AugmentedTreeDecomposition, ValidityReport, _tree_structure_errors,
                                 anatomy, from_bag_tree, validate, width)
 from tclq.graph import Graph, enumerate_minimal_separators, expand_mask, maximal_cliques_within
@@ -63,11 +62,9 @@ def numbered_bag_tree(root, partition) -> AugmentedTreeDecomposition:
 
 
 def raw_trees(calls: list) -> list:
-    """(g, numbered tree, cover) for each from_bag_tree call in calls,
-    as captured by count_calls; the cover reads the call's partition,
-    so sanitize covers with it too."""
-    return [(g, numbered_bag_tree(root, partition), SimpleNamespace(partition=partition))
-            for g, root, partition in calls]
+    """(g, numbered tree) for each from_bag_tree call in calls, as
+    captured by count_calls."""
+    return [(g, numbered_bag_tree(root, partition)) for g, root, partition in calls]
 
 
 def perturb(rng, g: Graph, d: AugmentedTreeDecomposition) -> AugmentedTreeDecomposition:
@@ -199,14 +196,11 @@ def reference_validate(g: Graph, d: AugmentedTreeDecomposition) -> ValidityRepor
     return report
 
 
-def reference_sanitize(g: Graph, d: AugmentedTreeDecomposition,
-                       cover: Optional[Cover] = None) -> AugmentedTreeDecomposition:
+def reference_sanitize(g: Graph, d: AugmentedTreeDecomposition) -> AugmentedTreeDecomposition:
     """sanitize with a liveness flag per node and a child scan per
     subtree: the same three rewrites, each a separate pass over the
     nodes, tried as contraction, then prune, then split.  The
     differential tests hold tclq.decomposition.sanitize to it."""
-    if cover is None:
-        cover = CoverOracle(g)
     rep = validate(g, d)
     if not rep.ok:
         raise ValueError(f"sanitize requires a valid decomposition: {rep}")
@@ -311,7 +305,8 @@ def reference_sanitize(g: Graph, d: AugmentedTreeDecomposition,
             queue.append(c)
     new_parents = tuple(-1 if parents[t] < 0 else pos[parents[t]] for t in order)
     new_bags = tuple(bags[t] for t in order)
-    new_covers = tuple(tuple(sorted(cover.partition(b))) for b in new_bags)
+    oracle = CoverOracle(g)
+    new_covers = tuple(tuple(sorted(oracle.partition(b))) for b in new_bags)
     out = AugmentedTreeDecomposition(new_parents, new_bags, new_covers)
     rep = validate(g, out)
     if not rep.ok:

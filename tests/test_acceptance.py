@@ -18,7 +18,7 @@ from tclq.cover import (ie_chromatic_with_construction, ie_count_covers, ie_coun
                         lawler_table)
 from tclq.decomposition import sanitize, validate, width
 from tclq.generators import gen_corpora, gen_permutation, gen_random, gen_reduction_H
-from tclq.oracle import OracleBudget, brute_chromatic, is_chordal, tcl_oracle
+from tclq.oracle import brute_chromatic, is_chordal, tcl_oracle
 from tclq.permutation import compute_tcl as perm_tcl
 from tclq.permutation import inversion_graph
 from tclq.permutation import solve as perm_solve
@@ -50,13 +50,12 @@ def test_solver_agreement_exhaustive_and_random(connected_to_6):
 def test_cover_number_agreement_four_ways(graphs_to_6, graphs_7, graphs_8):
     """Lawler table, cover counting, partition counting and brute-force
     coloring of the complement all give the same vcc."""
-    budget = OracleBudget(max_n=12)
     rng = random.Random(202)
     corpus = [*graphs_to_6, *graphs_7, *graphs_8]
     corpus += [gen_random(rng, 12, rng.choice(DENSITIES)) for _ in range(200)]
     for g in corpus:
         co = g.complement()
-        chi = brute_chromatic(co, budget)
+        chi = brute_chromatic(co, max_n=12)
         assert lawler_table(g).values[g.full] == chi
         if g.n == 0:
             assert chi == 0
@@ -69,12 +68,11 @@ def test_constructed_coloring_proper_and_optimal():
     """The counting-driven construction emits a proper coloring with
     exactly the chromatic number of colors."""
     rng = random.Random(303)
-    budget = OracleBudget(max_n=12)
     for _ in range(500):
         n = rng.randint(4, 12)
         g = gen_random(rng, n, rng.choice(DENSITIES))
         k, coloring = ie_chromatic_with_construction(g)
-        assert k == brute_chromatic(g, budget)
+        assert k == brute_chromatic(g, max_n=12)
         assert len(coloring) == g.n
         assert set(coloring) == set(range(k))
         for u in range(g.n):

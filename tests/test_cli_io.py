@@ -31,7 +31,7 @@ from tclq.io import (
     serialize_graph,
     serialize_permutation,
 )
-from tclq.oracle import OracleBudget, is_chordal, tcl_oracle
+from tclq.oracle import is_chordal, tcl_oracle
 from tclq.permutation import inversion_graph
 from tclq.solver_dp import compute_tcl as dp_tcl
 
@@ -217,7 +217,7 @@ class TestReduction:
 
     def test_k4_five_apexes_value(self):
         h = gen_reduction_H(complete(4), 5)
-        assert tcl_oracle(h, OracleBudget(max_n=9)) == 4
+        assert tcl_oracle(h, max_n=9) == 4
 
     def test_too_few_apexes(self):
         with pytest.raises(ValueError, match="apex count"):
@@ -319,7 +319,7 @@ class TestCliSolve:
         g = tmp_path / "p11.col"
         g.write_text(serialize_graph(path(11)))
         assert main(["solve", "--input", str(g), "--algo", "oracle"]) == 3
-        assert capsys.readouterr().err == "error: n=11 exceeds oracle cap 10\n"
+        assert capsys.readouterr().err == "error: n=11 exceeds the oracle limit of 10 vertices\n"
 
     def test_parse_error_exit(self, tmp_path, capsys):
         bad = tmp_path / "bad.col"
@@ -695,6 +695,41 @@ class TestCliVerify:
         bad.write_text("tcd 1 1\n")
         assert main(["verify", c4_file, str(bad)]) == 2
         assert "line 1" in capsys.readouterr().err
+
+
+# Every size limit of the command line, one row each: the input file,
+# the command ({f} names the file) and the one stderr line it must print.
+_COMPONENT = "n=65 exceeds the component limit of 64 vertices"
+_INPUT = "n=65537 exceeds the input limit of 65536 vertices"
+_TABLE = "n=21 exceeds the subset-table limit of 20 vertices"
+REFUSALS = [
+    pytest.param(serialize_graph(path(65)), ["solve", "--input", "{f}", "--algo", algo],
+                 _COMPONENT, id=f"component-{algo}")
+    for algo in ("dp", "pmc", "auto")
+] + [
+    pytest.param("p edge 65537 0\n", ["solve", "--input", "{f}"], _INPUT, id="input-solve"),
+    pytest.param("p edge 65537 0\n", ["verify", "{f}", "{f}"], _INPUT, id="input-verify"),
+    pytest.param(serialize_permutation(range(4097, 0, -1)), ["solve", "--perm", "{f}"],
+                 "n=4097 exceeds the permutation limit of 4096 lines", id="permutation"),
+] + [
+    pytest.param(serialize_graph(path(21)), ["cover", "--input", "{f}", "--method", method],
+                 _TABLE, id=f"subset-table-{method}")
+    for method in ("lawler", "ie")
+] + [
+    pytest.param(serialize_graph(path(11)), ["solve", "--input", "{f}", "--algo", "oracle"],
+                 "n=11 exceeds the oracle limit of 10 vertices", id="oracle"),
+]
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("text, argv, message", REFUSALS)
+    def test_exit_3_and_one_error_line(self, text, argv, message, tmp_path, capsys):
+        f = tmp_path / "input"
+        f.write_text(text)
+        assert main([arg.format(f=f) for arg in argv]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
 
 class TestCliGen:

@@ -9,7 +9,7 @@ import pytest
 from tclq import decomposition, generators, io, permutation, solver_dp, solver_pmc
 from tclq.bitset import bits, mask_of
 from tclq.cli import main
-from tclq.cover import CoverOracle, lawler_table
+from tclq.cover import CoverOracle, vcc
 from tclq.decomposition import (
     AugmentedTreeDecomposition,
     anatomy,
@@ -431,18 +431,10 @@ class TestSanitize:
         rng = random.Random(83)
         for g in rng.sample(connected_graphs(6), 25):
             messy = perturb(rng, g, compute_tcl(g)[1])
-            oracle = CoverOracle(g)
-            out = sanitize(g, messy, oracle)
-            # each bag has an exact record: as many classes as its bound
-            for b in out.bags:
-                lo, classes = oracle.known[b]
-                assert classes is not None and len(classes) == lo
-            assert out == sanitize(g, messy)
-            table = lawler_table(g)
-            from_table = sanitize(g, messy, table)
-            assert from_table.bags == out.bags
-            assert from_table.covers == tuple(tuple(sorted(table.partition(b)))
-                                              for b in out.bags)
+            out = sanitize(g, messy)
+            # each bag's cover is a minimum one
+            for b, classes in zip(out.bags, out.covers):
+                assert len(classes) == vcc(g, b)[0]
 
     def test_width_never_above_tcl_witness(self):
         rng = random.Random(79)
@@ -458,9 +450,9 @@ class TestSanitizeMatchesReference:
     give exactly what the pass-per-rewrite reference gives."""
 
     @staticmethod
-    def assert_same(g, d, cover=None):
-        out = sanitize(g, d, cover)
-        ref = reference_sanitize(g, d, cover)
+    def assert_same(g, d):
+        out = sanitize(g, d)
+        ref = reference_sanitize(g, d)
         assert out.parents == ref.parents
         assert out.bags == ref.bags
         assert out.covers == ref.covers
@@ -480,7 +472,7 @@ class TestSanitizeMatchesReference:
         raw = raw_trees(calls)
         for args in raw:
             self.assert_same(*args)
-        for g, d in witnesses + [(g, d) for g, d, _ in raw]:
+        for g, d in witnesses + raw:
             self.assert_same(g, d)
             messy = perturb(rng, g, d)
             self.assert_same(g, messy)
@@ -569,10 +561,10 @@ class TestOneWitnessBuilder:
     @staticmethod
     def check(calls, sane=True):
         assert calls
-        for (g, root, partition), (_, raw, cover) in zip(calls, raw_trees(calls)):
+        for (g, root, partition), (_, raw) in zip(calls, raw_trees(calls)):
             assert validate(g, raw).ok, (g, raw)
             if sane:
-                assert decomposition.from_bag_tree(g, root, partition) == sanitize(g, raw, cover), g
+                assert decomposition.from_bag_tree(g, root, partition) == sanitize(g, raw), g
 
     def test_general_solvers_connected_to_7(self, connected_to_6, monkeypatch):
         calls = count_calls(monkeypatch, decomposition.from_bag_tree)

@@ -16,7 +16,7 @@ from tclq.graph import (
     maximal_cliques_within,
 )
 from tclq.generators import gen_random
-from tclq.oracle import OracleBudget, brute_minimal_separators, brute_pmcs
+from tclq.oracle import brute_minimal_separators, brute_pmcs
 
 from corpus import all_graphs, connected_graphs, graphs_up_to
 from helpers import (complete, count_calls, cycle, pairwise_is_pmc, path, reference_components,
@@ -318,10 +318,9 @@ class TestIsPmc:
 
     def test_sweep_matches_triangulations_eight_sample(self, graphs_8):
         rng = random.Random(19)
-        budget = OracleBudget(max_n=8)
         for g in rng.sample(graphs_8, 60):
             sweep = [s for s in range(1, 1 << g.n) if is_pmc(g, s)]
-            assert sweep == brute_pmcs(g, budget)
+            assert sweep == brute_pmcs(g, max_n=8)
 
     def test_matches_pairwise_definition(self, graphs_to_6):
         for g in graphs_to_6:

@@ -5,11 +5,9 @@ import random
 import pytest
 
 from tclq.bitset import mask_of
-from tclq.cover import vcc
+from tclq.cover import CapacityError, vcc
 from tclq.graph import Graph, enumerate_minimal_separators, is_pmc
 from tclq.oracle import (
-    BudgetExceededError,
-    OracleBudget,
     brute_chromatic,
     brute_minimal_separators,
     brute_pmcs,
@@ -43,9 +41,9 @@ class TestBruteChromatic:
 
     def test_budget(self):
         g = Graph.from_edges(11, [])
-        with pytest.raises(BudgetExceededError):
+        with pytest.raises(CapacityError, match="^n=11 exceeds the oracle limit of 10 vertices$"):
             brute_chromatic(g)
-        assert brute_chromatic(g, OracleBudget(max_n=11)) == 1
+        assert brute_chromatic(g, max_n=11) == 1
 
     def test_at_least_clique_number(self, graphs_to_6):
         for g in graphs_to_6:
@@ -99,9 +97,9 @@ class TestTclOracle:
 
     def test_budget_cap(self):
         g = path(11)
-        with pytest.raises(BudgetExceededError):
+        with pytest.raises(CapacityError, match="^n=11 exceeds the oracle limit of 10 vertices$"):
             tcl_oracle(g)
-        assert tcl_oracle(g, OracleBudget(max_n=11)) == 1
+        assert tcl_oracle(g, max_n=11) == 1
 
 
 class TestBrutePmcs:
@@ -121,9 +119,9 @@ class TestBrutePmcs:
 
     def test_default_cap(self):
         g = path(8)
-        with pytest.raises(BudgetExceededError):
+        with pytest.raises(CapacityError, match="^n=8 exceeds the brute_pmcs limit of 7 vertices$"):
             brute_pmcs(g)
-        got = brute_pmcs(g, OracleBudget(max_n=8))
+        got = brute_pmcs(g, max_n=8)
         assert got == [s for s in range(1, 1 << 8) if is_pmc(g, s)]
 
 

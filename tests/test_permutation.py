@@ -9,20 +9,12 @@ from collections import Counter
 import pytest
 
 from tclq import permutation
-from tclq.bitset import mask_of
+from tclq.bitset import bits, mask_of
 from tclq.cover import vcc
 from tclq.decomposition import validate, width
 from tclq.generators import gen_permutation
 from tclq.io import serialize_decomposition
-from tclq.permutation import (
-    Scanline,
-    compute_tcl,
-    cover_of_line_set,
-    crossing_lines,
-    diagram,
-    inversion_graph,
-    solve,
-)
+from tclq.permutation import _cover_piles, compute_tcl, diagram, inversion_graph, solve
 from tclq.solver_dp import compute_tcl as dp_tcl
 
 
@@ -60,40 +52,24 @@ class TestInversionGraph:
                     assert g.has_edge(i, j) == want
 
 
-class TestCrossingLines:
-    def test_left_scanline_empty(self):
-        for pi in ([2, 1], [3, 4, 1, 2], [1, 2, 3]):
-            assert crossing_lines(diagram(pi), Scanline(0, 0)) == 0
-
-    def test_swap_middle(self):
-        assert crossing_lines(diagram([2, 1]), Scanline(1, 1)) == 0b11
-
-    def test_identity_middle(self):
-        assert crossing_lines(diagram([1, 2]), Scanline(1, 1)) == 0
-
-    def test_right_scanline_empty(self):
-        rng = random.Random(127)
-        for _ in range(5):
-            pi = gen_permutation(rng, 6)
-            d = diagram(pi)
-            assert crossing_lines(d, Scanline(6, 6)) == 0
-
-
 class TestCoverOfLineSet:
+    """_cover_piles, the witness partition: a minimum clique partition of
+    a line set."""
+
     def test_reversal_all_lines(self):
         d = diagram([4, 3, 2, 1])
-        assert cover_of_line_set(d, (1 << 4) - 1) == 1
+        assert _cover_piles(d, (1 << 4) - 1) == [0b1111]
 
     def test_identity_all_lines(self):
         d = diagram([1, 2, 3])
-        assert cover_of_line_set(d, 0b111) == 3
+        assert len(_cover_piles(d, 0b111)) == 3
 
     def test_crossing_pair(self):
         d = diagram([3, 4, 1, 2])
-        assert cover_of_line_set(d, mask_of([0, 2])) == 1
+        assert _cover_piles(d, mask_of([0, 2])) == [mask_of([0, 2])]
 
     def test_empty_set(self):
-        assert cover_of_line_set(diagram([2, 1]), 0) == 0
+        assert _cover_piles(diagram([2, 1]), 0) == []
 
     def test_matches_vcc(self):
         rng = random.Random(131)
@@ -102,7 +78,10 @@ class TestCoverOfLineSet:
             d = diagram(pi)
             g = inversion_graph(pi)
             lines = rng.randrange(1 << d.n)
-            assert cover_of_line_set(d, lines) == vcc(g, lines)[0]
+            piles = _cover_piles(d, lines)
+            assert len(piles) == vcc(g, lines)[0]
+            assert sorted(v for p in piles for v in bits(p)) == list(bits(lines))
+            assert all(g.is_clique(p) for p in piles)
 
 
 class TestDecide:
@@ -160,24 +139,34 @@ class TestComputeTcl:
 # The eager per-k scanline solver: every crossing set from its definition,
 # every k-small scanline and every arc built before a breadth-first
 # search, and k raised one step at a time.  It is the value reference for
-# the bottleneck DP.
+# the bottleneck DP.  A scanline is a pair (top, bottom) of gap indices.
+
+def _crossing_lines(d, t, b):
+    """Lines with exactly one endpoint on each side of the scanline (t, b)."""
+    return sum(1 << v for v in range(d.n) if (v + 1 <= t) != (d.pi_inverse[v] <= b))
+
+
+def _cover(d, lines):
+    return len(_cover_piles(d, lines))
+
 
 def _reference_graph(d, k):
-    nodes = [Scanline(t, b) for t in range(d.n + 1) for b in range(d.n + 1)
-             if cover_of_line_set(d, crossing_lines(d, Scanline(t, b))) <= k]
+    nodes = [(t, b) for t in range(d.n + 1) for b in range(d.n + 1)
+             if _cover(d, _crossing_lines(d, t, b)) <= k]
     node_set = set(nodes)
-    cross = {s: crossing_lines(d, s) for s in nodes}
+    cross = {s: _crossing_lines(d, *s) for s in nodes}
     succ = {}
     for s in nodes:
-        targets = [Scanline(t, s.bottom) for t in range(s.top + 1, d.n + 1)]
-        targets += [Scanline(s.top, b) for b in range(s.bottom + 1, d.n + 1)]
+        top, bottom = s
+        targets = [(t, bottom) for t in range(top + 1, d.n + 1)]
+        targets += [(top, b) for b in range(bottom + 1, d.n + 1)]
         succ[s] = tuple(t for t in targets
-                        if t in node_set and cover_of_line_set(d, cross[s] | cross[t]) <= k)
+                        if t in node_set and _cover(d, cross[s] | cross[t]) <= k)
     return nodes, succ
 
 
 def _reachable(d, succ):
-    start, goal = Scanline(0, 0), Scanline(d.n, d.n)
+    start, goal = (0, 0), (d.n, d.n)
     seen = {start}
     queue = [start]
     for s in queue:
@@ -199,7 +188,7 @@ def _reference_tcl(pi):
 
 
 def _unit_step_components(d):
-    cross = {(t, b): crossing_lines(d, Scanline(t, b))
+    cross = {(t, b): _crossing_lines(d, t, b)
              for t in range(d.n + 1) for b in range(d.n + 1)}
     return {m | cross[t + dt, b + db] for (t, b), m in cross.items()
             for dt, db in ((1, 0), (0, 1)) if (t + dt, b + db) in cross}
@@ -243,17 +232,32 @@ class TestGridSolverMatchesReference:
 class TestScanlineGrid:
     def test_bottleneck_matches_definition(self):
         # every entry: its own crossing set's cover, or the better of its
-        # unit-step predecessors' values if that is larger
+        # unit-step predecessors' values if that is larger; the bottleneck
+        # keeps the last entry and, per row, where the top step attains it
         for pi in [[]] + _seeded_permutations(181, 20, 1, 15):
             d = diagram(pi)
-            best = permutation._bottleneck(d)
+            best = list(permutation._rows(d))
             for t in range(d.n + 1):
                 for b in range(d.n + 1):
                     preds = [best[t - 1][b]] if t else []
                     preds += [best[t][b - 1]] if b else []
-                    cover = cover_of_line_set(d, crossing_lines(d, Scanline(t, b)))
+                    cover = _cover(d, _crossing_lines(d, t, b))
                     want = max(cover, min(preds)) if preds else cover
                     assert best[t][b] == want, (pi, t, b)
+            tops = [bytes(best[t - 1][b] <= best[t][b] for b in range(d.n + 1))
+                    for t in range(1, d.n + 1)]
+            assert permutation._bottleneck(d) == (best[-1][-1], tops), pi
+
+    def test_bottleneck_keeps_one_byte_an_entry(self):
+        # the whole table of ints took about 1.3 MB here
+        d = diagram(gen_permutation(random.Random(3), 400))
+        tracemalloc.start()
+        try:
+            permutation._bottleneck(d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 18, peak
 
     def test_cover_piles_once_per_line_set(self, monkeypatch):
         calls = Counter()
