@@ -3,10 +3,11 @@
 tcl(G) is the minimum, over tree decompositions of G, of the largest
 number of cliques needed to cover a bag.  The package provides a clique
 cover subset table and a lazy cover oracle, two exponential-time exact
-solvers, linear-time
-solvers for cographs and permutation graphs, inclusion-exclusion
-counting with constructive coloring, a decomposition verifier and
-sanitizer, and a brute-force oracle for cross-validation.
+solvers, linear-time solvers for cographs and permutation graphs,
+inclusion-exclusion counting with constructive coloring, a
+decomposition verifier and sanitizer, and an independent oracle for
+cross-validation: the subset DP over elimination orderings, up to 16
+vertices.
 """
 
 from .cover import (
@@ -30,7 +31,7 @@ from .graph import (
     enumerate_minimal_separators,
     is_pmc,
 )
-from .oracle import brute_chromatic, brute_pmcs, tcl_oracle
+from .oracle import brute_chromatic, tcl_oracle
 from .solver_pmc import PmcCatalog, build_catalog, tcl_via_pmc
 
 __all__ = [
@@ -40,7 +41,6 @@ __all__ = [
     "Graph",
     "PmcCatalog",
     "brute_chromatic",
-    "brute_pmcs",
     "build_catalog",
     "enumerate_maximal_independent_sets",
     "enumerate_minimal_separators",

@@ -32,13 +32,3 @@ def bit_list(mask: int) -> List[int]:
 def lowest_bit(mask: int) -> int:
     """Index of the least significant set bit.  mask must be nonzero."""
     return (mask & -mask).bit_length() - 1
-
-
-def submasks(mask: int) -> Iterator[int]:
-    """All submasks of mask, descending, including mask itself and 0."""
-    s = mask
-    while True:
-        yield s
-        if s == 0:
-            return
-        s = (s - 1) & mask

@@ -217,7 +217,7 @@ class TestReduction:
 
     def test_k4_five_apexes_value(self):
         h = gen_reduction_H(complete(4), 5)
-        assert tcl_oracle(h, max_n=9) == 4
+        assert tcl_oracle(h) == 4
 
     def test_too_few_apexes(self):
         with pytest.raises(ValueError, match="apex count"):
@@ -316,10 +316,10 @@ class TestCliSolve:
         assert code == 2
 
     def test_oracle_refuses_above_its_cap(self, tmp_path, capsys):
-        g = tmp_path / "p11.col"
-        g.write_text(serialize_graph(path(11)))
+        g = tmp_path / "p17.col"
+        g.write_text(serialize_graph(path(17)))
         assert main(["solve", "--input", str(g), "--algo", "oracle"]) == 3
-        assert capsys.readouterr().err == "error: n=11 exceeds the oracle limit of 10 vertices\n"
+        assert capsys.readouterr().err == "error: n=17 exceeds the oracle limit of 16 vertices\n"
 
     def test_parse_error_exit(self, tmp_path, capsys):
         bad = tmp_path / "bad.col"
@@ -716,8 +716,8 @@ REFUSALS = [
                  _TABLE, id=f"subset-table-{method}")
     for method in ("lawler", "ie")
 ] + [
-    pytest.param(serialize_graph(path(11)), ["solve", "--input", "{f}", "--algo", "oracle"],
-                 "n=11 exceeds the oracle limit of 10 vertices", id="oracle"),
+    pytest.param(serialize_graph(path(17)), ["solve", "--input", "{f}", "--algo", "oracle"],
+                 "n=17 exceeds the oracle limit of 16 vertices", id="oracle"),
 ]
 
 

@@ -16,11 +16,11 @@ from tclq.graph import (
     maximal_cliques_within,
 )
 from tclq.generators import gen_random
-from tclq.oracle import brute_minimal_separators, brute_pmcs
 
 from corpus import all_graphs, connected_graphs, graphs_up_to
 from helpers import (complete, count_calls, cycle, pairwise_is_pmc, path, reference_components,
                      reference_pmcs_and_separators)
+from reference import brute_minimal_separators, brute_pmcs
 
 
 def brute_mis(g: Graph):

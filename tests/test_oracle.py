@@ -1,4 +1,4 @@
-"""Brute-force ground truth: chromatic number, tcl recursion, PMC listing."""
+"""Independent ground truth: chromatic number, the tcl subset DP, chordality, and the reference listings."""
 
 import random
 
@@ -6,17 +6,15 @@ import pytest
 
 from tclq.bitset import mask_of
 from tclq.cover import CapacityError, vcc
+from tclq.generators import gen_random
 from tclq.graph import Graph, enumerate_minimal_separators, is_pmc
-from tclq.oracle import (
-    brute_chromatic,
-    brute_minimal_separators,
-    brute_pmcs,
-    is_chordal,
-    tcl_oracle,
-)
+from tclq.oracle import brute_chromatic, is_chordal, tcl_oracle
+from tclq.solver_dp import compute_tcl as dp_tcl
+from tclq.solver_pmc import compute_tcl as pmc_tcl
 
 from corpus import connected_graphs
 from helpers import complete, complete_bipartite, cycle, path, star
+from reference import brute_minimal_separators, brute_pmcs
 
 
 class TestBruteChromatic:
@@ -96,10 +94,10 @@ class TestTclOracle:
             assert tcl_oracle(g) <= brute_chromatic(g.complement())
 
     def test_budget_cap(self):
-        g = path(11)
-        with pytest.raises(CapacityError, match="^n=11 exceeds the oracle limit of 10 vertices$"):
+        g = path(17)
+        with pytest.raises(CapacityError, match="^n=17 exceeds the oracle limit of 16 vertices$"):
             tcl_oracle(g)
-        assert tcl_oracle(g, max_n=11) == 1
+        assert tcl_oracle(g, max_n=17) == 1
 
 
 class TestBrutePmcs:
@@ -180,3 +178,16 @@ class TestVccAgainstOracle:
             s = rng.randrange(1 << 6)
             sub = s & rng.randrange(1 << 6)
             assert vcc(g, sub)[0] <= vcc(g, s)[0]
+
+
+class TestSolversAgreeAboveTheOldCap:
+    """The oracle against both general solvers on seeded connected
+    G(n, p) with n = 11-14 at three densities, and one graph at n = 16."""
+
+    CASES = [(n, p, seed) for n in range(11, 15) for p in (0.2, 0.5, 0.8) for seed in (1, 2)]
+    CASES.append((16, 0.5, 1))
+
+    @pytest.mark.parametrize("n, p, seed", CASES)
+    def test_oracle_matches_dp_and_pmc(self, n, p, seed):
+        g = gen_random(random.Random(f"oracle:{n}:{p}:{seed}"), n, p, connected=True)
+        assert tcl_oracle(g) == dp_tcl(g)[0] == pmc_tcl(g)[0]

@@ -319,8 +319,8 @@ class TestBlockInstrumentation:
                     assert g.neighbors(comp) == sep
 
     def test_separator_characterization(self):
-        # semantic form: the decision equals k-decomposability as the
-        # oracle defines it, for every k up to n
+        # semantic form: the decision says tcl <= k exactly when the
+        # oracle's elimination-ordering DP does, for every k up to n
         rng = random.Random(101)
         for g in rng.sample(connected_graphs(6), 30):
             table = lawler_table(g)
