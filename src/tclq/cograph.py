@@ -2,24 +2,31 @@
 
 A cotree is given as an s-expression: ``(label child child ...)`` where
 label 0 means disjoint union and label 1 means product (join).  Leaves
-are bare atoms; a single atom by itself denotes K1.  Parsing produces a
-binary cotree (k-ary nodes are folded into left-deep same-label chains),
-and the per-node folds below run in one bottom-up pass each.
+are bare atoms; a single atom by itself denotes K1.
+
+``fold_tcl`` is the one reader: it checks the expression and folds the
+answer while it reads, keeping for each open node only its label, its
+child count and the running (ecc, tcl) of its children, with no tree
+built.  ``parse_and_binarize`` lets it check the text, then builds the
+nested nodes with a loop that checks nothing and binarizes them (k-ary
+nodes become left-deep same-label chains); the per-node folds over
+that binary cotree run in one bottom-up pass each.
 
 The folds carry (ecc, tcl), the clique cover number and the tree-clique
 width.  A leaf is (1, 1); a union of A and B is (ecc(A) + ecc(B),
 max(tcl(A), tcl(B))); a product is (max(ecc(A), ecc(B)),
-min(max(ecc(A), tcl(B)), max(tcl(A), ecc(B)))).  ``fold_tcl`` takes
-them while the expression is read, with no tree built.  That gives the
-same numbers as the folds over the binary cotree.  Write x * y for the
-rule of label lab applied to the values of x and y.  (lab c1 ... ck) is
-binarized to (lab (... (lab c1 c2) ...) ck), whose value is
+min(max(ecc(A), tcl(B)), max(tcl(A), ecc(B)))).  ``fold_tcl`` gives
+the same numbers as the folds over the binary cotree.  Write x * y for
+the rule of label lab applied to the values of x and y.  (lab c1 ... ck)
+is binarized to (lab (... (lab c1 c2) ...) ck), whose value is
 (...(c1 * c2) * ...) * ck.  The reader keeps exactly that running value
 for each open node: a child is complete when it closes, which is before
 its next sibling opens, and it is then folded into its parent's value.
 The running value starts at the empty graph (0, 0).  tcl <= ecc at
 every node, so folding a first child (e, t) into (0, 0) gives (e, t)
-under either label.
+under either label.  So a leaf (1, 1) folds in directly: under a union
+ecc rises by 1, under a product ecc rises to at least 1, and tcl rises to
+at least 1 under either.
 """
 
 from dataclasses import dataclass
@@ -66,16 +73,19 @@ class CotreeParseError(ValueError):
     pass
 
 
-def _read(text: str):
-    """Read one cotree expression; returns (node, ecc, tcl) of its root.
+def _tokens(text: str) -> List[str]:
+    return text.replace("(", " ( ").replace(")", " ) ").split()
 
-    node is a leaf name (str) or (label, [children]).  ecc and tcl are
-    the folds of the module docstring, taken while the expression is
-    read.  Iterative, so the nesting depth is bounded by memory, not the
-    stack.  Syntax errors come first, then trailing input, then the
-    first leaf name that repeats.
+
+def fold_tcl(text: str) -> int:
+    """Tree-clique width of the cograph of a cotree expression, in one pass.
+
+    The one cotree reader: every parse error comes from here.  Iterative,
+    so the nesting depth is bounded by memory, not the stack.  Syntax
+    errors come first, then trailing input, then the first leaf name that
+    repeats.
     """
-    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
+    tokens = _tokens(text)
     if not tokens:
         raise CotreeParseError("empty cotree expression")
     if tokens[0] != "(":
@@ -83,83 +93,110 @@ def _read(text: str):
             raise CotreeParseError("unexpected ')'")
         if len(tokens) > 1:
             raise CotreeParseError(f"trailing input after expression: {tokens[1]!r}")
-        return tokens[0], 1, 1
-    # The innermost open node is (lab, kids, ecc, tcl), with ecc and tcl
-    # the running fold of its children so far; the nodes enclosing it are
-    # on the stack, above a sentinel with kids None that the root closes to.
+        return 1
+    # The innermost open node is (lab, count, ecc, tcl): its label, its
+    # children so far and their running fold.  The nodes enclosing it are
+    # on the stack, above a sentinel with lab None that the root closes to.
+    # Leaf names are only collected; repeats are looked for at the end.
     stack: List[tuple] = []
-    lab, kids, ecc, tcl = None, None, 0, 0
-    seen = set()
-    dup = None
+    push, pop = stack.append, stack.pop
+    names: List[str] = []
+    name = names.append
+    lab, count, ecc, tcl = None, 0, 0, 0
     it = iter(tokens)
     for tok in it:
         if tok == "(":
-            stack.append((lab, kids, ecc, tcl))
+            push((lab, count, ecc, tcl))
             tok = next(it, None)
-            if tok not in ("0", "1"):
-                if tok in (None, "(", ")"):
-                    raise CotreeParseError("internal node must start with a 0/1 label")
+            if tok == "0":
+                lab = UNION
+            elif tok == "1":
+                lab = PRODUCT
+            elif tok in (None, "(", ")"):
+                raise CotreeParseError("internal node must start with a 0/1 label")
+            else:
                 raise CotreeParseError(f"unknown node label {tok!r} (expected 0 or 1)")
-            lab, kids, ecc, tcl = int(tok), [], 0, 0
-            continue
-        if tok == ")":
-            if len(kids) < 2:
+            count = ecc = tcl = 0
+        elif tok == ")":
+            if count < 2:
                 raise CotreeParseError(
-                    f"internal node has {len(kids)} children, needs at least 2")
-            node, child_ecc, child_tcl = (lab, kids), ecc, tcl
-            lab, kids, ecc, tcl = stack.pop()
-            if kids is None:
+                    f"internal node has {count} children, needs at least 2")
+            child_ecc, child_tcl = ecc, tcl
+            lab, count, ecc, tcl = pop()
+            if lab is None:
                 tok = next(it, None)
                 if tok is not None:
                     raise CotreeParseError(f"trailing input after expression: {tok!r}")
-                if dup is not None:
-                    raise CotreeParseError(f"duplicate leaf {dup!r}")
-                return node, child_ecc, child_tcl
-            kids.append(node)
+                if len(set(names)) != len(names):
+                    seen = set()
+                    for tok in names:
+                        if tok in seen:
+                            raise CotreeParseError(f"duplicate leaf {tok!r}")
+                        seen.add(tok)
+                return child_tcl
+            count += 1
+            # fold the finished child into its parent; max and min are
+            # spelled out, as builtin calls here took a third of the pass
+            if lab:  # PRODUCT
+                a = ecc if ecc > child_tcl else child_tcl
+                b = tcl if tcl > child_ecc else child_ecc
+                tcl = a if a < b else b
+                if child_ecc > ecc:
+                    ecc = child_ecc
+            else:
+                ecc += child_ecc
+                if child_tcl > tcl:
+                    tcl = child_tcl
         else:
-            if dup is None and tok in seen:
-                dup = tok
-            seen.add(tok)
-            kids.append(tok)
-            child_ecc = child_tcl = 1
-        # fold the finished child into its parent; max and min are spelled
-        # out, as builtin calls here took a third of the pass
-        if lab == UNION:
-            ecc += child_ecc
-            if child_tcl > tcl:
-                tcl = child_tcl
-        else:
-            a = ecc if ecc > child_tcl else child_tcl
-            b = tcl if tcl > child_ecc else child_ecc
-            tcl = a if a < b else b
-            if child_ecc > ecc:
-                ecc = child_ecc
+            # a leaf (1, 1) folds in directly; ecc and tcl are 0 only
+            # before the first child
+            name(tok)
+            count += 1
+            if lab:  # PRODUCT
+                if not ecc:
+                    ecc = tcl = 1
+            else:
+                ecc += 1
+                if not tcl:
+                    tcl = 1
     raise CotreeParseError("missing ')'")
-
-
-def fold_tcl(text: str) -> int:
-    """Tree-clique width of the cograph of a cotree expression, in one pass."""
-    return _read(text)[2]
 
 
 def parse_and_binarize(text: str) -> Cotree:
     """Parse a cotree expression and fold k-ary nodes left-deep.
 
-    A node (lab c1 c2 ... ck) with k > 2 becomes (lab (... (lab c1 c2)
-    ...) ck).  Nodes are numbered in preorder of the binary tree, so the
-    root is node 0 and a k-ary node's chain comes topmost first.
-    Iterative, like the parser.
+    ``fold_tcl`` reads the text first and raises every parse error; the
+    nested (label, children) nodes are then built from the checked tokens
+    by a loop that checks nothing.  A node (lab c1 c2 ... ck) with k > 2
+    becomes (lab (... (lab c1 c2) ...) ck).  Nodes are numbered in
+    preorder of the binary tree, so the root is node 0 and a k-ary node's
+    chain comes topmost first.  Iterative, like the reader.
     """
-    ast = _read(text)[0]
+    fold_tcl(text)
+    tokens = _tokens(text)
+    ast = tokens[0]
+    if ast == "(":
+        open_nodes: List[tuple] = []
+        it = iter(tokens)
+        for tok in it:
+            if tok == "(":
+                node = (int(next(it)), [])
+                if open_nodes:
+                    open_nodes[-1][1].append(node)
+                open_nodes.append(node)
+            elif tok == ")":
+                ast = open_nodes.pop()
+            else:
+                open_nodes[-1][1].append(tok)
     kids: List = []
     label: List[Optional[int]] = []
     leaf_vertex: List[Optional[int]] = []
     leaf_names: List[str] = []
     # Entries are (expression, kids pair of the parent, side).  An
-    # expression is a leaf name, a parsed (label, children) node, or a
-    # chain node (label, children, m) standing for the fold of the first
-    # m children; a parsed node is the chain over all of its children.
-    # A node is numbered when it pops, in preorder.
+    # expression is a leaf name, a (label, children) node, or a chain
+    # node (label, children, m) standing for the fold of the first m
+    # children; a node is the chain over all of its children.  A node is
+    # numbered when it pops, in preorder.
     stack = [(ast, None, 0)]
     while stack:
         node, slot, side = stack.pop()

@@ -8,21 +8,28 @@ brute_chromatic and tcl_oracle refuse a graph above their max_n with
 CapacityError instead of running unbounded.
 """
 
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from .bitset import bit_list, bits
 from .cover import CapacityError
 from .graph import Graph
 
 
-def _chromatic_of_masks(adj: List[int], n: int) -> int:
-    """Exact chromatic number of a graph given as adjacency masks.
+def _chromatic_of_masks(adj: List[int], n: int, low: int = 1,
+                        high: Optional[int] = None) -> int:
+    """Chromatic number of a graph given as adjacency masks, when it is at
+    most ``high``; ``high + 1`` when it is above.
 
-    Backtracking over vertices in descending-degree order; a vertex may
-    only open one new color (standard symmetry pruning).
+    ``high`` defaults to n, which always suffices.  The caller vouches
+    that no coloring with fewer than ``low`` colors exists, so only
+    k = low .. high are tried.  Backtracking over vertices in
+    descending-degree order; a vertex may only open one new color
+    (standard symmetry pruning).
     """
     if n == 0:
         return 0
+    if high is None:
+        high = n
     order = sorted(range(n), key=lambda v: (-adj[v].bit_count(), v))
     # earlier[i] = neighbors of order[i] among order[:i]
     earlier: List[List[int]] = []
@@ -48,10 +55,10 @@ def _chromatic_of_masks(adj: List[int], n: int) -> int:
 
         return bt(0, 0)
 
-    for k in range(1, n + 1):
+    for k in range(low, high + 1):
         if feasible(k):
             return k
-    return n
+    return high + 1
 
 
 def brute_chromatic(g: Graph, *, max_n: int = 10) -> int:
@@ -60,9 +67,10 @@ def brute_chromatic(g: Graph, *, max_n: int = 10) -> int:
     return _chromatic_of_masks(list(g.adj), g.n)
 
 
-def _vcc_masks(adj: List[int], sub: int) -> int:
+def _vcc_masks(adj: List[int], sub: int, low: int = 1,
+               high: Optional[int] = None) -> int:
     """Clique cover number of the graph (adj, within sub): chromatic
-    number of its complement."""
+    number of its complement, with ``_chromatic_of_masks``'s low and high."""
     verts = bit_list(sub)
     m = len(verts)
     comp = [0] * m
@@ -71,7 +79,7 @@ def _vcc_masks(adj: List[int], sub: int) -> int:
         for j, w in enumerate(verts):
             if row >> w & 1:
                 comp[i] |= 1 << j
-    return _chromatic_of_masks(comp, m)
+    return _chromatic_of_masks(comp, m, low, high)
 
 
 def tcl_oracle(g: Graph, *, max_n: int = 16) -> int:
@@ -86,11 +94,15 @@ def tcl_oracle(g: Graph, *, max_n: int = 16) -> int:
     best[S] = min over v in S of max(best[S - v], vcc({v} + Q(S - v, v))).
     A bag never reaches across components, so a disconnected graph needs
     no split.  Cover numbers are this module's own, memoized per bag.
+    A bag only matters when its vcc is below the running minimum, so its
+    search stops there; a bag refused at one bound keeps that bound as
+    a lower bound, and is not searched again at the same or a lower one.
     """
     if g.n > max_n:
         raise CapacityError(f"n={g.n} exceeds the oracle limit of {max_n} vertices")
     adj = g.adj
     cost: Dict[int, int] = {}
+    floor: Dict[int, int] = {}
     best = [0] * (1 << g.n)
     for s in range(1, 1 << g.n):
         low = g.n + 1
@@ -107,7 +119,14 @@ def tcl_oracle(g: Graph, *, max_n: int = 16) -> int:
             bag = (1 << v) | (reach & ~s)
             c = cost.get(bag)
             if c is None:
-                c = cost[bag] = _vcc_masks(adj, bag)
+                lb = floor.get(bag, 1)
+                if lb >= low:
+                    continue
+                c = _vcc_masks(adj, bag, lb, low - 1)
+                if c >= low:
+                    floor[bag] = low
+                    continue
+                cost[bag] = c
             low = min(low, max(best[r], c))
         best[s] = low
     return best[-1]

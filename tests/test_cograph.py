@@ -190,6 +190,8 @@ class TestParse:
             texts.append(text)
         texts += [text for text, _ in gen_corpora(223, "cograph", count=5, n=300)]
         texts += [gen_cotree_text(rng, n) for n in (1, 2, 3, 5, 13, 100) for _ in range(40)]
+        # the size the benchmark folds
+        texts += [gen_cotree_text(random.Random(seed), 2000) for seed in range(3)]
         for text in texts:
             assert _parse_outcome(parse_and_binarize, text) == \
                 _parse_outcome(_recursive_parse, text), text
@@ -203,6 +205,7 @@ class TestParse:
         assert t.n == depth + 1 and t.num_nodes == 2 * depth + 1
         assert t.kids[0] == (1, 2) and t.leaf_vertex[1] == 0
         assert compute_tcl(t)[0] == 1
+        assert fold_tcl(text) == 1
 
 
 class TestRealize:
