@@ -93,16 +93,14 @@ def _solve(args) -> int:
 
 
 def _report(args, k: int, witness, n: Optional[int]) -> int:
-    if args.k is not None:
-        ok = k <= args.k
-        if ok and witness is not None and args.out is not None:
-            _write(args.out, io.serialize_decomposition(witness, n))
-        print("YES" if ok else "NO")
-        return 0 if ok else 1
-    if witness is not None and args.out is not None:
+    if witness is not None and args.out is not None and (args.k is None or k <= args.k):
         _write(args.out, io.serialize_decomposition(witness, n))
-    print(f"tcl {k}")
-    return 0
+    if args.k is None:
+        print(f"tcl {k}")
+        return 0
+    ok = k <= args.k
+    print("YES" if ok else "NO")
+    return 0 if ok else 1
 
 
 def _cover(args) -> int:

@@ -6,25 +6,24 @@ to S).  Lawler's remove-one-clique recurrence gives it two ways: the
 dense CoverTable of every subset (lawler_table), and lawler_cover, which
 takes the same step top-down from V and solves only the sets it reads.
 An inclusion-exclusion engine counts covers/partitions by independent
-sets, which doubles as a chromatic-number routine with a constructive
-coloring mode; its signed sums over all 2^n subsets run over a histogram
-of a table's distinct values.  Each of its subset tables is one
+sets; its signed sums over all 2^n subsets run over a histogram of a
+table's distinct values.  Each of its subset tables is one
 non-negative int of 2^n lanes of 32 bits, lane T at bits 32T to
 32T + 31, so a table step is a few whole-int operations.  A masked
 gather (lane r takes lane r & M) copies, for each bit q that M lacks,
 the lanes without q onto those with q, through a mask of the lanes
 without q that each call builds by doubling one period; no mask or
 table outlives a call.  No lane exceeds 2^TABLE_MAX_N, so a sum of
-tables carries nothing between lanes.  The coloring mode builds its
-table of independent-set counts once, on two facts: every vertex below
-the pivot (the lowest vertex with a non-neighbour above it) is adjacent
-to all others, so a trial is decided on the graph without them; and a
-trial changes edges only at the pivot, so the table of the vertices
-above it is kept and only shrinks.  A proper coloring with the counted
-number of colors, kept as a witness, decides each trial whose pair it
-colors apart without a count: it colors the trial graph too, so the
-count would be positive.  Every other trial, each merge among them, is still
-counted, so no decision changes.  These operations refuse a graph above
+tables carries nothing between lanes.  The count doubles as a
+chromatic-number routine with a constructive coloring mode.  One table
+gives chi, and every add-or-merge trial of the construction is counted
+on tables cut from it, by dropping the lanes of a vertex that leaves,
+unless a witness decides it: a k-coloring of the working graph, kept as
+clique classes of its complement rows, that colors the pair apart or
+does so after one Kempe swap.  A witness comes from a greedy pass, or,
+where that fails, from the clique-partition search below, which runs
+only up front and after a counted trial keeps its edge, so it always
+has a coloring to find.  These operations refuse a graph above
 TABLE_MAX_N vertices before allocating anything.  The CoverOracle is the
 sparse counterpart for the solvers: it solves only the sets a caller
 asks for, one at a time, by backtracking, and keeps one record per set:
@@ -59,14 +58,14 @@ CAP = 64
 # inclusion-exclusion table is one int of 2^n lanes of LANE bits, each a
 # native unsigned int ("I"): 4 MB at n = 20.  A lane holds at most
 # 2^TABLE_MAX_N (the edgeless graph's count at V), so a histogram key,
-# 4 a + 3 at most, stays below 2^(TABLE_MAX_N + 3), and the sum of two
+# 2 a + 1 at most, stays below 2^(TABLE_MAX_N + 2), and the sum of two
 # lanes never carries into the next.
 TABLE_MAX_N = 20
 LANE_BYTES = 4
 LANE = 8 * LANE_BYTES
-if struct.calcsize("I") != LANE_BYTES or TABLE_MAX_N + 3 >= LANE:
+if struct.calcsize("I") != LANE_BYTES or TABLE_MAX_N + 2 >= LANE:
     raise RuntimeError(f"subset-table lanes of {LANE} bits need a {LANE_BYTES}-byte "
-                       f"unsigned int and TABLE_MAX_N below {LANE - 3}")
+                       f"unsigned int and TABLE_MAX_N below {LANE - 2}")
 
 
 class CapacityError(Exception):
@@ -296,42 +295,29 @@ def _independent_count_table(g: Graph) -> int:
     return ind
 
 
-def _key_counts(table: int, n: int, tag: int = 0) -> Counter:
-    """How many lanes T of a table over the 2^n subsets of n vertices hold
-    each key 4 a + 2 [|T| odd] + tag [0 in T], a being lane T's value: one
-    pass over the lanes, in any order.  A key is below 2^(TABLE_MAX_N + 3)."""
-    # even holds each lane's 2 [|T| odd] + tag [0 in T], odd the same with
-    # the parity flipped; each vertex above 0 doubles both, and the last
-    # needs even alone
-    even, odd = (2 | tag) << LANE, 2 | tag << LANE
-    for v in range(1, n):
-        span = LANE << v
-        even, odd = even | odd << span, odd | even << span if v + 1 < n else 0
-    keys = table << 2 | (even if n else 0)
-    del even, odd
-    return Counter(memoryview(keys.to_bytes(LANE_BYTES << n, sys.byteorder)).cast("I"))
-
-
-def _signed(counts: Counter, n: int, tag: Optional[int] = None) -> Dict[int, int]:
-    """{a: sum of (-1)^(n - |T|) over the counted lanes T holding a}, over
-    all of _key_counts's keys or those with the given tag; zero sums
-    dropped."""
-    hist: Dict[int, int] = {}
-    for key, c in counts.items():
-        if tag is None or key & 1 == tag:
-            a = key >> 2
-            hist[a] = hist.get(a, 0) + (c if key >> 1 & 1 == n & 1 else -c)
-    return {a: c for a, c in hist.items() if c}
-
-
 def _signed_histogram(table: int, n: int) -> Dict[int, int]:
     """{a: sum of (-1)^(n - |T|) over the subsets T whose lane holds a},
     for a table over the 2^n subsets of n vertices; zero sums dropped.
 
     The inclusion-exclusion sum over X of (-1)^|X| f(table[V - X]) is
-    then the sum of c * f(a) over the items (a, c).
+    then the sum of c * f(a) over the items (a, c).  One pass over the
+    lanes, in any order, counts the keys 2 a + [|T| odd]; a key is below
+    2^(TABLE_MAX_N + 2).
     """
-    return _signed(_key_counts(table, n), n)
+    # odd marks the lanes of odd |T| over the vertices so far, even the
+    # others; each vertex above 0 doubles both, and the last needs odd alone
+    odd, even = 1 << LANE, 1
+    for v in range(1, n):
+        span = LANE << v
+        odd, even = odd | even << span, even | odd << span if v + 1 < n else 0
+    keys = table << 1 | (odd if n else 0)
+    del odd, even
+    hist: Dict[int, int] = {}
+    for key, c in Counter(memoryview(keys.to_bytes(LANE_BYTES << n, sys.byteorder))
+                          .cast("I")).items():
+        a = key >> 1
+        hist[a] = hist.get(a, 0) + (c if key & 1 == n & 1 else -c)
+    return {a: c for a, c in hist.items() if c}
 
 
 def ie_count_covers(g: Graph, k: int) -> int:
@@ -382,24 +368,6 @@ def _drop_bit(table: int, b: int) -> int:
     return int.from_bytes(kept, "little")
 
 
-def _merge(adj: List[int], i: int, j: int) -> List[int]:
-    """adj with vertex j merged into i < j: i takes j's neighbours, and
-    the vertices above j move down by one."""
-    low = (1 << j) - 1
-    merged = []
-    for v, row in enumerate(adj):
-        if v == j:
-            continue
-        if v == i:
-            row |= adj[j]
-        elif row >> j & 1:
-            row |= 1 << i
-        row &= ~((1 << j) | (1 << v))
-        # drop bit j, shifting higher bits down
-        merged.append((row & low) | ((row >> 1) & ~low))
-    return merged
-
-
 def _odd_half_sum(base: int, outside: int, m: int, c: int) -> int:
     """A trial's signed sum at c over the sets that hold the pivot: for
     each subset R of the m vertices above the pivot, R plus the pivot
@@ -408,134 +376,156 @@ def _odd_half_sum(base: int, outside: int, m: int, c: int) -> int:
     return _ie_partition_sum(_signed_histogram(base + _gather(base, outside, m), m), c)
 
 
-def _witness_coloring(adj: List[int], k: int, pivot: int) -> Optional[List[int]]:
-    """The first proper coloring of the graph adj with at most k colors
-    that the backtracker finds, as a color per vertex, or None if there
-    is none.
-
-    Vertices go in index order, each into the first color none of its
-    neighbours has, opening one new color at a time.  A vertex above the
-    pivot tries the pivot's color last, so the pivot's class comes out
-    small, as the construction's own classes do.
-    """
-    m = len(adj)
-    classes = [0] * k
-    color = [0] * m
-
-    def bt(v: int, used: int) -> bool:
-        if v == m:
+def _kempe_apart(non: List[int], classes: List[int], home: int, i: int, j: int) -> bool:
+    """Move j out of the class home it shares with i, by one Kempe swap
+    that leaves i there: for some other class, the component of j in
+    the graph that non complements, on the two classes without i, has
+    no neighbour of i, and its vertices swap classes.  The classes stay
+    cliques of non, whose rows already lack the edge ij."""
+    for c, cls in enumerate(classes):
+        if c == home:
+            continue
+        pair = classes[home] & ~(1 << i) | cls
+        comp = todo = 1 << j
+        while todo:
+            low = todo & -todo
+            new = pair & ~non[low.bit_length() - 1] & ~comp
+            comp |= new
+            todo = (todo ^ low) | new
+        if not comp & cls & ~non[i]:
+            classes[home] ^= comp
+            classes[c] ^= comp
             return True
-        row = adj[v]
-        order = range(used + 1 if used < k else k)
-        if v > pivot:
-            order = [c for c in order if c != color[pivot]] + [color[pivot]]
-        for c in order:
-            if classes[c] & row:
-                continue
+    return False
+
+
+def _first_fit(non: List[int], s: int, k: int) -> Optional[List[int]]:
+    """s split into at most k cliques of the rows non by one greedy pass,
+    or None if it finds none.  Each vertex v, in increasing order, joins
+    the first class that takes it; if none does, a class holding just
+    one vertex u outside v's row takes v once a Kempe swap moves u out."""
+    classes: List[int] = []
+    for v in bits(s):
+        c = next((c for c, cls in enumerate(classes) if not cls & ~non[v]), len(classes))
+        if c == len(classes) < k:
+            classes.append(0)
+        if c < k:
             classes[c] |= 1 << v
-            color[v] = c
-            if bt(v + 1, max(used, c + 1)):
-                return True
-            classes[c] &= ~(1 << v)
-        return False
-
-    return color if bt(0, 0) else None
-
-
-def _witness(adj: List[int], k: int, pivot: int) -> List[int]:
-    """_witness_coloring, which must find one: the count said chi <= k."""
-    color = _witness_coloring(adj, k, pivot)
-    if color is None:
-        raise RuntimeError(f"no {k}-coloring of a graph the count found {k}-colorable")
-    return color
+            continue
+        for c, cls in enumerate(classes):
+            u = cls & ~non[v]
+            if u & (u - 1) == 0:
+                classes[c] |= 1 << v
+                if _kempe_apart(non, classes, c, v, u.bit_length() - 1):
+                    break
+                classes[c] = cls
+        else:
+            return None
+    return classes
 
 
 def ie_chromatic_with_construction(g: Graph) -> Tuple[int, List[int]]:
     """chi(G) by counting, plus a proper coloring with exactly chi colors.
 
-    The construction repeatedly takes the lexicographically first
-    non-adjacent pair (i, j) of the working graph h and adds the edge;
-    if the chromatic number is unchanged the edge stays, otherwise every
-    optimal coloring agrees on the pair and the two vertices merge.
-    When h becomes complete, its vertices are the color classes.
+    k is the least c whose partition count is positive, read off the
+    signed histograms of the two halves of G's independent-set table,
+    the sets without vertex 0 and those with it.  The construction
+    then repeatedly takes the lexicographically first non-adjacent pair
+    (i, j) of the working graph h and adds the edge; if h + ij is still
+    k-colorable the edge stays, otherwise every k-coloring of h gives i
+    and j one color and the two vertices merge.  When h becomes
+    complete, its vertices are the color classes.
 
-    A witness, a proper k-coloring of h, decides the trials it can: if
-    it gives i and j different colors, it is a k-coloring of h + ij as
-    well, so chi stays k and the edge stays without a count.  Only the
-    other trials are counted, so every merge is still decided by
-    counting, and every decision is the one a count would make.  A merge
-    keeps the witness (i and j share a color), minus j's entry; a
-    counted trial that keeps the edge searches a new witness.
+    h keeps G's labels: non[v] holds v's non-neighbours and alive the
+    vertices not merged away, so a k-coloring of h is a partition of
+    alive into k cliques of the rows non.  A witness, such a partition,
+    decides the trials it can without a count: if it puts i and j in
+    different classes, or a Kempe swap (_kempe_apart) moves j out of
+    i's, it colors h + ij too, so the edge stays.  Every other trial,
+    each merge among them, is counted.  A merge keeps the witness (i and
+    j shared a class); a counted trial that keeps the edge drops it.
+    The next trial builds one, as the first trial does, by a greedy pass
+    (_first_fit) or, if that fails, by the search _partition_within,
+    which then has a partition to find.
 
-    Each counted trial is decided by an inclusion-exclusion count, but
-    on the independent-set counts of one table built once from G,
-    because of two facts.  The pivot i is the lowest vertex with a
-    non-neighbour above it, so every vertex below i is adjacent to all
-    others, and chi(h) = i + chi(h - {0..i-1}): the trial is decided on
-    h minus those vertices at k - i.  A trial changes only edges at the
-    pivot (an added edge ij, or a merge that drops j and gives i its
-    neighbours), so the table `base` of h - {0..i} is never recomputed:
-    a merge keeps its lanes without j's bit, and a pivot step keeps
-    those without bit 0.  The table of h - {0..i-1} has base as its
-    lanes without i and base[R] + base[R & ~N(i)] as those with i, so
-    the trial's signed sum is the sum over that odd half, for N(i) with
-    j, minus the sum over base, which is kept until base changes.  The
-    histogram pass over G's table tags each lane with [0 in T], so the
-    same pass that finds k also gives base's sum at pivot 0.
+    The counts read one table built from G, because of two facts.  The
+    pivot i is the lowest vertex with an alive non-neighbour, so every
+    alive vertex below it is adjacent to all others, and a trial is
+    decided on h without them, at k minus their number.  A trial changes
+    only edges at the pivot (an added edge ij, or a merge that drops j
+    and gives i its neighbours), so the table base of the alive vertices
+    above i, in order, is never recomputed: a merge keeps its lanes
+    without j's bit, and a pivot step those without the lowest bit.  The
+    table with i has base as its lanes without i and base[R] + base[R &
+    ~N(i)] as those with i, so the trial's signed sum is the sum over
+    that odd half, for N(i) with j, minus the sum over base, which is
+    kept until base changes; at pivot 0 it comes from the first half.
     """
     check_table_size(g.n)
     n = g.n
     if n == 0:
         return 0, []
     table = _independent_count_table(g)
-    counts = _key_counts(table, n, 1)
-    hist = _signed(counts, n)
-    k = next((c for c in range(1, n) if _ie_partition_sum(hist, c) > 0), n)
-    # the signed sum over base at k - i, until base changes: at i = 0, the
-    # untagged lanes, signed over the n - 1 vertices above 0
-    even = _ie_partition_sum(_signed(counts, n - 1, 0), k)
-    del counts, hist
-    i = 0  # the pivot; every vertex below it is adjacent to all others
     base = _drop_bit(table, 0)  # independent-set counts of h - {0..i}
-    del table  # its odd half is not read again
-    adj = list(g.adj)
-    color = _witness(adj, k, 0)
-    groups: List[int] = [1 << v for v in range(n)]
-    while i + 1 < len(adj):
-        shift = i + 1
-        m = len(adj) - shift  # base is over the 2^m subsets of the vertices above i
-        hood = adj[i] >> shift
-        rest = ~hood & ((1 << m) - 1)
-        if not rest:
-            i, base, even = shift, _drop_bit(base, 0), None
+    # G's signed histogram: the lanes with 0, as sets of the vertices above
+    # it, minus base's, both signed over n - 1 vertices
+    hist = _signed_histogram(_drop_bit(table >> LANE, 0), n - 1)
+    del table
+    half = _signed_histogram(base, n - 1)
+    for a, c in half.items():
+        hist[a] = hist.get(a, 0) - c
+    k = next((c for c in range(1, n) if _ie_partition_sum(hist, c) > 0), n)
+    even = _ie_partition_sum(half, k)  # base's signed sum at k - below
+    del hist, half
+    non = [g.full & ~(row | 1 << v) for v, row in enumerate(g.adj)]
+    alive = g.full
+    classes = None  # the witness, once a trial needs one
+    groups = [1 << v for v in range(n)]
+    for i in range(n):
+        if not alive >> i & 1:
             continue
-        b = lowest_bit(rest)
-        j = shift + b
-        counted = color[i] == color[j]
-        if counted:
-            if even is None:
-                even = _ie_partition_sum(_signed_histogram(base, m), k - i)
-            # the odd half's sum minus even is the count at k - i of the trial
-            # graph minus {0..i-1}; chi can only stay or grow by one under an
-            # edge addition
-            if _odd_half_sum(base, ~(hood | 1 << b), m, k - i) <= even:
-                groups[i] |= groups.pop(j)
-                adj = _merge(adj, i, j)
-                base = _drop_bit(base, b)
-                even = None
-                del color[j]
+        if i:
+            base, even = _drop_bit(base, 0), None
+        below = (alive & ((1 << i) - 1)).bit_count()
+        # each alive vertex below i is adjacent to all others, so i's alive
+        # non-neighbours lie above it
+        while non[i] & alive:
+            if classes is None:
+                classes = _first_fit(non, alive, k) or _partition_within(non, alive, k)
+                if classes is None:
+                    raise RuntimeError(f"no {k}-coloring of a graph the count found "
+                                       f"{k}-colorable")
+            j = lowest_bit(non[i] & alive)
+            non[i] &= ~(1 << j)
+            non[j] &= ~(1 << i)
+            home = next(c for c, cls in enumerate(classes) if cls >> i & 1)
+            if not classes[home] >> j & 1 or _kempe_apart(non, classes, home, i, j):
                 continue
-        adj[i] |= 1 << j
-        adj[j] |= 1 << i
-        if counted:
-            color = _witness(adj, k, i)
+            above = bit_list(alive & -(2 << i))  # base's vertices, in order
+            outside = sum(1 << r for r, v in enumerate(above) if non[i] >> v & 1)
+            if even is None:
+                even = _ie_partition_sum(_signed_histogram(base, len(above)), k - below)
+            # the odd half's sum minus even is the count at k - below of
+            # h + ij without the vertices below i; chi can only stay or
+            # grow by one under an edge addition
+            if _odd_half_sum(base, outside, len(above), k - below) <= even:
+                alive &= ~(1 << j)
+                groups[i] |= groups[j]
+                classes[home] &= ~(1 << j)
+                for v in bits(non[i] & ~non[j]):
+                    non[v] &= ~(1 << i)
+                non[i] &= non[j]
+                base = _drop_bit(base, above.index(j))
+                even = None
+            else:
+                classes = None
 
-    if len(adj) != k:
+    if alive.bit_count() != k:
         raise RuntimeError("complete merge graph must have chi vertices")
     coloring = [0] * n
-    for c, grp in enumerate(groups):
-        for v in bits(grp):
-            coloring[v] = c
+    for c, v in enumerate(bits(alive)):
+        for u in bits(groups[v]):
+            coloring[u] = c
     return k, coloring
 
 

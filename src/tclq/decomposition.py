@@ -48,14 +48,6 @@ class AugmentedTreeDecomposition:
 BagTree = Tuple[int, list]
 
 
-@dataclass(frozen=True)
-class NodeAnatomy:
-    adhesion: int
-    margin: int
-    cone: int
-    component: int
-
-
 @dataclass
 class ValidityReport:
     violations: List[str] = field(default_factory=list)
@@ -153,19 +145,6 @@ def validate(g: Graph, d: AugmentedTreeDecomposition) -> ValidityReport:
 
 def width(d: AugmentedTreeDecomposition) -> int:
     return max((len(c) for c in d.covers), default=0)
-
-
-def anatomy(d: AugmentedTreeDecomposition, t: int) -> NodeAnatomy:
-    parent = d.parents[t]
-    adhesion = d.bags[t] & d.bags[parent] if parent >= 0 else 0
-    cone = 0
-    stack = [t]
-    kids = d.children()
-    while stack:
-        u = stack.pop()
-        cone |= d.bags[u]
-        stack.extend(kids[u])
-    return NodeAnatomy(adhesion, d.bags[t] & ~adhesion, cone, cone & ~adhesion)
 
 
 def _contract(parents: List[int], bags: List[int], kids: Dict[int, List[int]]) -> None:

@@ -1,6 +1,7 @@
 """Shared builders and checkers for the test suite."""
 
 import sys
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Dict, List, Optional
 
@@ -11,7 +12,7 @@ from tclq.bitset import bits, mask_of
 from tclq.cli import main
 from tclq.cover import CoverOracle
 from tclq.decomposition import (AugmentedTreeDecomposition, ValidityReport, _tree_structure_errors,
-                                anatomy, from_bag_tree, validate, width)
+                                from_bag_tree, validate, width)
 from tclq.graph import Graph, enumerate_minimal_separators, expand_mask, maximal_cliques_within
 from tclq.solver_pmc import build_catalog
 
@@ -38,6 +39,27 @@ def complete_bipartite(a: int, b: int) -> Graph:
 
 def star(leaves: int) -> Graph:
     return Graph.from_edges(leaves + 1, [(0, i + 1) for i in range(leaves)])
+
+
+def grotzsch() -> Graph:
+    """The Mycielskian of C5: 11 vertices, triangle-free, chi 4."""
+    edges = [(i, (i + 1) % 5) for i in range(5)]
+    edges += [(5 + i, v) for i in range(5) for v in ((i + 1) % 5, (i - 1) % 5)]
+    edges += [(5 + i, 10) for i in range(5)]
+    return Graph.from_edges(11, edges)
+
+
+def kneser(n: int, k: int) -> Graph:
+    """K(n, k): the k-subsets of n points, adjacent when disjoint; chi
+    n - 2k + 2."""
+    sets = list(combinations(range(n), k))
+    return Graph.from_edges(len(sets), [(a, b) for a, b in combinations(range(len(sets)), 2)
+                                        if not set(sets[a]) & set(sets[b])])
+
+
+def complete_split(a: int, b: int) -> Graph:
+    """K_a joined to b independent vertices, the clique first."""
+    return Graph.from_edges(a + b, [(u, v) for u, v in combinations(range(a + b), 2) if u < a])
 
 
 def decomp(parents, bags, covers) -> AugmentedTreeDecomposition:
@@ -324,6 +346,30 @@ def assert_good_witness(g: Graph, d: AugmentedTreeDecomposition,
     # every maximal clique of g lies inside some bag
     for w in maximal_cliques_within(g, g.full):
         assert any(w & ~bag == 0 for bag in d.bags), f"maximal clique {w:b} not in any bag"
+
+
+@dataclass(frozen=True)
+class NodeAnatomy:
+    adhesion: int
+    margin: int
+    cone: int
+    component: int
+
+
+def anatomy(d: AugmentedTreeDecomposition, t: int) -> NodeAnatomy:
+    """Node t's adhesion (its bag's meet with its parent's), margin (the
+    rest of its bag), cone (the union of its subtree's bags) and
+    component (the cone less the adhesion)."""
+    parent = d.parents[t]
+    adhesion = d.bags[t] & d.bags[parent] if parent >= 0 else 0
+    cone = 0
+    stack = [t]
+    kids = d.children()
+    while stack:
+        u = stack.pop()
+        cone |= d.bags[u]
+        stack.extend(kids[u])
+    return NodeAnatomy(adhesion, d.bags[t] & ~adhesion, cone, cone & ~adhesion)
 
 
 def assert_sane(g: Graph, d: AugmentedTreeDecomposition) -> None:

@@ -65,8 +65,8 @@ def test_cover_number_agreement_four_ways(graphs_to_6, graphs_7, graphs_8):
 
 
 def test_constructed_coloring_proper_and_optimal():
-    """The counting-driven construction emits a proper coloring with
-    exactly the chromatic number of colors."""
+    """The construction, chi and every merge decided by counting, emits a
+    proper coloring with exactly the chromatic number of colors."""
     rng = random.Random(303)
     for _ in range(500):
         n = rng.randint(4, 12)

@@ -24,7 +24,8 @@ from tclq.graph import Graph, enumerate_maximal_independent_sets, maximal_clique
 from tclq.oracle import brute_chromatic
 
 from corpus import connected_graphs, graphs_up_to
-from helpers import complete, count_calls, cycle, empty, forbid, star
+from helpers import (complete, complete_split, count_calls, cycle, empty, forbid, grotzsch,
+                     kneser, star)
 
 
 def nonempty_independent_sets(g: Graph):
@@ -287,17 +288,10 @@ class TestIeKernels:
                 assert _lanes(cover._drop_bit(_packed(values), b), m - 1) == \
                     [x for r, x in enumerate(values) if not r >> b & 1], (m, b)
 
-    def test_signed_histogram_and_tags(self):
+    def test_signed_histogram(self):
         for m, _, values in self.random_tables():
-            t = _packed(values)
-            assert cover._signed_histogram(t, m) == reference_signed_histogram(values, m)
-            if m:
-                # the untagged lanes are those without vertex 0, signed
-                # over the other m - 1 vertices
-                counts = cover._key_counts(t, m, 1)
-                assert cover._signed(counts, m) == reference_signed_histogram(values, m)
-                assert cover._signed(counts, m - 1, 0) == \
-                    reference_signed_histogram(values[::2], m - 1)
+            assert cover._signed_histogram(_packed(values), m) == \
+                reference_signed_histogram(values, m)
 
 
 class TestLaneHeadroom:
@@ -473,11 +467,16 @@ def reference_construction(g: Graph):
 
 
 class TestPivotConstruction:
-    """The construction on pivot tables makes the same decisions as the
-    per-trial count on rebuilt graphs, and builds one table per call."""
+    """The construction on pivot tables, with a witness partition and its
+    Kempe swaps deciding the trials they can, makes the same decisions as
+    the per-trial count on rebuilt graphs, and builds one table per call."""
 
     def test_matches_reference_to_6(self, graphs_to_6):
-        for g in graphs_to_6:
+        # plus graphs with many merges; E14 + K6, the complement of K14
+        # joined to 6 independent vertices, merges 19 into 0 at k = 6, and a
+        # search refuting that trial would run through every coloring of
+        # the isolated 1..13
+        for g in list(graphs_to_6) + [grotzsch(), kneser(6, 2), complete_split(14, 6)]:
             for h in (g, g.complement()):
                 assert ie_chromatic_with_construction(h) == reference_construction(h), h
 
@@ -508,54 +507,89 @@ def count_trials(g: Graph, coloring) -> int:
     each first non-adjacent pair of the working graph merges when its
     vertices end in one color class, and takes the edge otherwise."""
     adj = list(g.adj)
-    color = list(coloring)
+    alive = g.full
     trials = 0
     while True:
-        pair = next(((i, j) for i, j in itertools.combinations(range(len(adj)), 2)
+        pair = next(((i, j) for i, j in itertools.combinations(bit_list(alive), 2)
                      if not adj[i] >> j & 1), None)
         if pair is None:
             return trials
         trials += 1
         i, j = pair
-        if color[i] == color[j]:
-            adj = cover._merge(adj, i, j)
-            del color[j]
+        if coloring[i] == coloring[j]:
+            alive &= ~(1 << j)
+            adj[i] |= adj[j]
+            for v in bits(adj[j]):
+                adj[v] |= 1 << i
         else:
             adj[i] |= 1 << j
             adj[j] |= 1 << i
 
 
 class TestWitness:
-    """The witness coloring, and the trials it spares the construction."""
-
-    def check(self, g, k, color):
-        assert len(color) == g.n and all(0 <= c < k for c in color)
-        assert all(color[u] != color[v] for u, v in g.edges())
+    """The witness, a partition of the working graph's complement rows
+    into cliques, and the trials it spares the construction."""
 
     def test_proper_at_chi_and_none_below(self, graphs_to_6):
+        # a partition of V into cliques of the complement rows is a
+        # coloring of h, as the construction reads it
         for g in graphs_to_6:
             for h in (g, g.complement()):
                 chi = brute_chromatic(h)
-                for pivot in range(max(h.n, 1)):
-                    self.check(h, chi, cover._witness_coloring(list(h.adj), chi, pivot))
-                    if chi:
-                        assert cover._witness_coloring(list(h.adj), chi - 1, pivot) is None
+                non = [h.full & ~(row | 1 << v) for v, row in enumerate(h.adj)]
+                classes = cover._partition_within(non, h.full, chi)
+                assert len(classes) == chi and sum(classes) == h.full, h
+                assert all(h.is_independent(c) for c in classes), h
+                if chi:
+                    assert cover._partition_within(non, h.full, chi - 1) is None, h
 
-    def test_pivot_color_last(self):
-        # every vertex above the pivot avoids its color while another fits
-        assert cover._witness_coloring(list(empty(4).adj), 2, 0) == [0, 1, 1, 1]
-        assert cover._witness_coloring(list(empty(4).adj), 2, 1) == [0, 0, 1, 1]
-        assert cover._witness_coloring(list(empty(4).adj), 1, 0) == [0, 0, 0, 0]
+    def test_kempe_swap_keeps_a_coloring(self, graphs_to_6):
+        # for each non-adjacent pair sharing a class of the first
+        # partition, a swap moves j out and leaves a coloring of h + ij
+        for g in graphs_to_6:
+            for h in (g, g.complement()):
+                non = [h.full & ~(row | 1 << v) for v, row in enumerate(h.adj)]
+                first = cover._partition_within(non, h.full, brute_chromatic(h))
+                for i, j in itertools.combinations(range(h.n), 2):
+                    home = next(c for c, cls in enumerate(first) if cls >> i & 1)
+                    if not non[i] >> j & 1 or not first[home] >> j & 1:
+                        continue
+                    trial = Graph.from_edges(h.n, h.edges() + [(i, j)])
+                    rows = list(non)
+                    rows[i] &= ~(1 << j)
+                    rows[j] &= ~(1 << i)
+                    classes = list(first)
+                    if cover._kempe_apart(rows, classes, home, i, j):
+                        assert sum(classes) == h.full and classes[home] >> i & 1, h
+                        assert all(trial.is_independent(c) for c in classes), (h, i, j)
+                    else:
+                        assert classes == first
+
+    def test_first_fit_is_a_coloring_or_none(self, graphs_to_6):
+        found = 0
+        for g in graphs_to_6:
+            for h in (g, g.complement()):
+                non = [h.full & ~(row | 1 << v) for v, row in enumerate(h.adj)]
+                for k in range(1, h.n + 1):
+                    classes = cover._first_fit(non, h.full, k)
+                    if classes is not None:
+                        found += 1
+                        assert len(classes) <= k and sum(classes) == h.full, h
+                        assert all(h.is_independent(c) for c in classes), (h, k)
+                    else:
+                        assert k < h.n, h
+        assert found
 
     def test_missing_witness_is_an_error(self, monkeypatch):
-        monkeypatch.setattr(cover, "_witness_coloring", lambda adj, k, pivot: None)
+        monkeypatch.setattr(cover, "_first_fit", lambda adj, s, k: None)
+        monkeypatch.setattr(cover, "_partition_within", lambda adj, s, k: None)
         with pytest.raises(RuntimeError, match="coloring"):
             ie_chromatic_with_construction(cycle(5))
 
     # the construction on the complement of gen_random(random.Random(9),
     # 13, 0.5) makes 24 trials; 8 merge and 16 keep the edge, and the
-    # witness decides 13 of those
-    COUNTED = 11
+    # witness decides 14 of those, 7 after a Kempe swap
+    COUNTED = 10
 
     def test_counted_trials_pinned(self, monkeypatch):
         g = gen_random(random.Random(9), 13, 0.5).complement()

@@ -12,7 +12,6 @@ from tclq.cli import main
 from tclq.cover import CoverOracle, vcc
 from tclq.decomposition import (
     AugmentedTreeDecomposition,
-    anatomy,
     combine_forest,
     sanitize,
     validate,
@@ -23,6 +22,7 @@ from tclq.solver_dp import compute_tcl
 
 from corpus import connected_graphs
 from helpers import (
+    anatomy,
     assert_good_witness,
     assert_sane,
     complete,
